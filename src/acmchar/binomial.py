@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 
 @lru_cache(maxsize=None)
@@ -18,14 +19,7 @@ def binom(n: int, p: int) -> int:
         raise ValueError(f"binom undefined for p = {p} < -1")
     if p == -1:
         return 1 if n == -1 else 0
-    if n < p:
-        return 0
-    # n >= p >= 0
-    p = min(p, n - p)
-    result = 1
-    for i in range(1, p + 1):
-        result = result * (n - p + i) // i
-    return result
+    return comb(n, p) if n >= p else 0
 
 
 @dataclass(frozen=True)
@@ -64,6 +58,22 @@ class MacaulayExpansion:
         return " + ".join(f"C({m},{k})" for m, k in self.terms)
 
 
+def _largest_top(rem: int, k: int) -> int:
+    """Largest m >= k with C(m,k) <= rem (rem >= 1): exponential search
+    for an upper bracket, then bisection."""
+    lo, step = k, 1  # C(k,k) = 1 <= rem
+    while comb(lo + step, k) <= rem:
+        lo, step = lo + step, 2 * step
+    hi = lo + step  # C(lo,k) <= rem < C(hi,k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid, k) <= rem:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
     """Greedy i-binomial expansion of alpha >= 1."""
     if alpha <= 0:
@@ -74,15 +84,9 @@ def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
     rem = alpha
     k = i
     while rem > 0:
-        # largest m with C(m,k) <= rem, via incremental Pascal-style updates
-        m, c = k, 1  # C(k,k) = 1 <= rem
-        while True:
-            nxt = c * (m + 1) // (m + 1 - k)  # C(m+1,k)
-            if nxt > rem:
-                break
-            m, c = m + 1, nxt
+        m = _largest_top(rem, k)
         terms.append((m, k))
-        rem -= c
+        rem -= comb(m, k)
         k -= 1
     return MacaulayExpansion(tuple(terms))
 

@@ -242,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--degenerate", action="store_true",
                    help="include single-component (hyperplane) characters")
-    p.add_argument("--table", action="store_true", help="table output (default)")
     p.add_argument("--verbose", action="store_true", help="dump witnesses")
 
     return parser

@@ -15,26 +15,14 @@ from .characters import (
     is_positive_character,
     s1_general,
 )
-from .growth import decompose, is_macaulay
+from .growth import MacaulayFn, _Layered, decompose
 from .intfun import IntFun
 
 
 @dataclass(frozen=True)
-class Codim3Decomposition:
+class Codim3Decomposition(_Layered):
     """Positive characters gamma_0, ..., gamma_r with
     gamma = gamma_0 + gamma_1[-1] + ... + gamma_r[-r]."""
-
-    parts: tuple[IntFun, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.parts) - 1
-
-    def recompose(self) -> IntFun:
-        total = IntFun()
-        for i, p in enumerate(self.parts):
-            total = total + p.shift(-i)
-        return total
 
     def validate(self) -> None:
         for i, p in enumerate(self.parts):
@@ -45,35 +33,12 @@ class Codim3Decomposition:
                 raise ValueError(f"component {i} overlaps component {i - 1}")
 
 
-def _greedy_parts(gamma: IntFun) -> tuple[IntFun, ...]:
-    """Peel positive components off the front of a codim-3 character.
-
-    At each step N is the least n whose strict upper tail sums to at most
-    n; the head component is -1 below N, absorbs the tail surplus at N and
-    copies gamma above N.
-    """
-    parts = []
-    cur = gamma
-    while not is_positive_character(cur):
-        top = cur.sup()
-        n = 0
-        while sum(cur(m) for m in range(n + 1, top + 1)) > n:
-            n += 1
-        tail = sum(cur(m) for m in range(n + 1, top + 1))
-        vals = [-1] * n + [n - tail] + [cur(m) for m in range(n + 1, top + 1)]
-        g0 = IntFun(0, tuple(vals))
-        parts.append(g0)
-        cur = (cur - g0).shift(1)
-    parts.append(cur)
-    return tuple(parts)
-
-
 def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
     """Split a codim-3 postulation character into positive components.
 
-    Routes through the h-vector decomposition and cross-checks against the
-    direct greedy peeling; degenerate characters (h-vector of type <= 2)
-    are returned whole with r = 0.
+    The h-vector layers of ``growth.decompose`` map through
+    ``gamma_from_h`` to the components; degenerate characters (h-vector of
+    type <= 2) are returned whole with r = 0.
     """
     chk = check_necessary(gamma, 3)
     if not chk:
@@ -82,19 +47,14 @@ def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
         h = h_from_gamma(gamma)
     except ValueError as exc:
         raise ValueError(f"not a codim-3 ACM character: {exc}") from exc
-    if not is_macaulay(h):
-        raise ValueError("not a codim-3 ACM character: h-vector violates growth")
-    if h(1) <= 2:
-        dec = Codim3Decomposition((gamma,))
-        dec.validate()
-        return dec
-    hdec = decompose(h)
-    parts = tuple(gamma_from_h(p) for p in hdec.parts)
-    greedy = _greedy_parts(gamma)
-    assert parts == greedy, "h-vector and greedy routes disagree"
-    dec = Codim3Decomposition(parts)
-    dec.validate()
-    return dec
+    try:
+        mf = MacaulayFn(h)
+    except ValueError as exc:
+        raise ValueError(
+            "not a codim-3 ACM character: h-vector violates growth") from exc
+    if mf.type_a <= 2:
+        return Codim3Decomposition((gamma,))
+    return Codim3Decomposition(tuple(gamma_from_h(p) for p in decompose(mf).parts))
 
 
 def s1_via_cor37(dec: Codim3Decomposition, s0: int) -> int:
@@ -160,27 +120,14 @@ def quadric_check(gamma: IntFun) -> QuadricCheck:
     chk = check_necessary(gamma, 3)
     if not chk or chk.s0 != 2:
         raise ValueError("quadric check needs a codim-3 character with s0 = 2")
-    top = gamma.sup()
     t = 1
     while gamma(t + 1) == -2:
         t += 1
-    for s in range(t + 1, top + 1):
-        if any(gamma(m) < -1 for m in range(t + 1, s)):
-            continue
-        if any(gamma(m) < 0 for m in range(s, top + 1)):
-            continue
-        above = sum(gamma(m) for m in range(s + 1, top + 1))
-        at = above + gamma(s)
-        if not (above <= s <= at):
-            continue
-        # sanity: the split from the witness must be two positive characters
-        vals = [-1] * s + [s - above] + [gamma(m) for m in range(s + 1, top + 1)]
-        g0 = IntFun(0, tuple(vals))
-        g1 = (gamma - g0).shift(1)
-        assert is_positive_character(g0) and is_positive_character(g1)
-        assert g1.sup() < char_s0(g0)
-        return QuadricCheck(True, t, s)
-    return QuadricCheck(False, t, -1)
+    try:
+        dec = decompose_codim3(gamma)
+    except ValueError:
+        return QuadricCheck(False, t, -1)
+    return QuadricCheck(True, t, char_s0(dec.parts[0]))
 
 
 def integral_quadric_check(gamma: IntFun) -> bool:

@@ -79,9 +79,7 @@ def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
         twice += si.delta + (2 * i + 1) * si.d
     if twice % 2 != 0:
         raise ValueError("parity failure: invalid decomposition")
-    inv = CurveInvariants(d, twice // 2 + 1)
-    assert inv == curve_invariants(dec.recompose())
-    return inv
+    return CurveInvariants(d, twice // 2 + 1)
 
 
 @dataclass(frozen=True)

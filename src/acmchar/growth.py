@@ -135,8 +135,9 @@ def lex_oracle(h: IntFun) -> bool:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """Layers h_0, ..., h_r with h = h_0 + h_1[-1] + ... + h_r[-r]."""
+class _Layered:
+    """Shared shape of both decompositions: parts p_0, ..., p_r that
+    recompose as p_0 + p_1[-1] + ... + p_r[-r]."""
 
     parts: tuple[IntFun, ...]
 
@@ -144,15 +145,20 @@ class Decomposition:
     def r(self) -> int:
         return len(self.parts) - 1
 
-    @property
-    def s0(self) -> int:
-        return self.r + 1
-
     def recompose(self) -> IntFun:
         total = IntFun()
         for i, p in enumerate(self.parts):
             total = total + p.shift(-i)
         return total
+
+
+@dataclass(frozen=True)
+class Decomposition(_Layered):
+    """Layers h_0, ..., h_r with h = h_0 + h_1[-1] + ... + h_r[-r]."""
+
+    @property
+    def s0(self) -> int:
+        return self.r + 1
 
     def validate(self, type_a: int) -> None:
         """Check all structural invariants for a decomposition of a
@@ -177,12 +183,11 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
     """Unique decomposition of a finitely supported Macaulay function of
     type a >= 2 into type-(a-1) layers; s0(h) equals r + 1."""
     mf = h if isinstance(h, MacaulayFn) else MacaulayFn(h)
-    f = mf.h
     a = mf.type_a
     if a < 2:
         raise ValueError("decompose needs type >= 2 (see type12_shape)")
     parts: list[IntFun] = []
-    cur = f
+    cur = mf.h
     while True:
         n = 0
         while cur(n) >= binom(a + n - 2, n):
@@ -195,13 +200,11 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
         if hprime(1) < a:
             parts.append(hprime)
             break
-        # each peel strictly reduces the mass, so the loop terminates
-        assert hprime.total() < cur.total()
+        # h0(0) = 1, so each peel strictly reduces the mass and the loop
+        # terminates
         cur = hprime
     dec = Decomposition(tuple(parts))
     dec.validate(a)
-    assert dec.recompose() == f
-    assert dec.s0 == s0_of(mf)
     return dec
 
 

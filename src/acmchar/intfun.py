@@ -25,8 +25,12 @@ class IntFun:
     values: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        off = int(self.offset)
+        vals = tuple(self.values)
+        off = self.offset
+        # exact type test: floats, bools and strings are rejected, not coerced
+        if not {type(off), *map(type, vals)} <= {int}:
+            bad = next(x for x in (off, *vals) if type(x) is not int)
+            raise TypeError(f"not an integer: {bad!r}")
         # strip leading zeros, shifting the offset
         start = 0
         while start < len(vals) and vals[start] == 0:
@@ -136,7 +140,7 @@ class IntFun:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntFun":
-        return cls(int(obj["offset"]), tuple(int(v) for v in obj["values"]))
+        return cls(obj["offset"], tuple(obj["values"]))
 
     @classmethod
     def from_values(cls, *values: int, offset: int = 0) -> "IntFun":
@@ -166,31 +170,6 @@ class IntFun:
         return f"({','.join(str(v) for v in self.values)})@{self.offset}"
 
 
-ZERO = IntFun()
-
-
 def indicator(a: int) -> IntFun:
     """The function that is 1 at a and 0 elsewhere."""
     return IntFun(a, (1,))
-
-
-# Module-level aliases matching the operation names used elsewhere.
-
-def diff(f: IntFun) -> IntFun:
-    return f.diff()
-
-
-def primitive(f: IntFun) -> IntFun:
-    return f.primitive()
-
-
-def shift(f: IntFun, d: int) -> IntFun:
-    return f.shift(d)
-
-
-def sup(f: IntFun) -> int | None:
-    return f.sup()
-
-
-def is_character(f: IntFun) -> bool:
-    return f.is_character()

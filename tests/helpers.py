@@ -1,7 +1,7 @@
 """Shared enumeration helpers for the test suite."""
 from itertools import product
 
-from acmchar import IntFun, upper
+from acmchar import IntFun, is_positive_character, upper
 
 
 def macaulay_functions(type_a, max_mass):
@@ -50,3 +50,50 @@ def random_nonneg(rng, max_len=8, hi=9, offset=0):
     """A random nonnegative finitely supported function."""
     length = rng.randint(1, max_len)
     return IntFun(offset, tuple(rng.randint(0, hi) for _ in range(length)))
+
+
+def greedy_parts(gamma):
+    """Oracle for ``decompose_codim3``: peel positive components off the
+    front of a codim-3 character directly, without the h-vector.
+
+    At each step N is the least n whose strict upper tail sums to at most
+    n; the head component is -1 below N, absorbs the tail surplus at N and
+    copies gamma above N.
+    """
+    parts = []
+    cur = gamma
+    while not is_positive_character(cur):
+        top = cur.sup()
+        n = 0
+        while sum(cur(m) for m in range(n + 1, top + 1)) > n:
+            n += 1
+        tail = sum(cur(m) for m in range(n + 1, top + 1))
+        vals = [-1] * n + [n - tail] + [cur(m) for m in range(n + 1, top + 1)]
+        g0 = IntFun(0, tuple(vals))
+        parts.append(g0)
+        cur = (cur - g0).shift(1)
+    parts.append(cur)
+    return tuple(parts)
+
+
+def quadric_search(gamma):
+    """Oracle for ``quadric_check`` on an s0 = 2 codim-3 character: search
+    for the split point s directly on the shape of gamma.
+
+    gamma is -2 on [1, t]; a valid s has gamma >= -1 strictly between t
+    and s, gamma >= 0 from s on, and the tail sums bracket s.  Returns
+    (valid, t, s) with s = -1 when no split point exists.
+    """
+    top = gamma.sup()
+    t = 1
+    while gamma(t + 1) == -2:
+        t += 1
+    for s in range(t + 1, top + 1):
+        if any(gamma(m) < -1 for m in range(t + 1, s)):
+            continue
+        if any(gamma(m) < 0 for m in range(s, top + 1)):
+            continue
+        above = sum(gamma(m) for m in range(s + 1, top + 1))
+        if above <= s <= above + gamma(s):
+            return True, t, s
+    return False, t, -1

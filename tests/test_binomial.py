@@ -43,13 +43,21 @@ class TestExpansion:
     def test_exact_binomial_is_single_term(self):
         assert macaulay_expand(binom(9, 4), 4).terms == ((9, 4),)
 
-    @given(st.integers(min_value=1, max_value=2000),
-           st.integers(min_value=1, max_value=8))
+    @given(st.integers(min_value=1, max_value=10**40),
+           st.integers(min_value=1, max_value=12))
     def test_reconstruction(self, alpha, i):
         exp = macaulay_expand(alpha, i)
         assert exp.value == alpha
         exp.validate()
         assert exp.terms[0][1] == i
+
+    def test_huge_alpha_recomposes_exactly(self):
+        exp = macaulay_expand(10**20, 2)
+        (m2, k2), (m1, k1) = exp.terms
+        assert (k2, k1) == (2, 1)
+        assert math.comb(m2, 2) + math.comb(m1, 1) == 10**20
+        # greedy: the leading term is the largest that fits
+        assert math.comb(m2 + 1, 2) > 10**20
 
     def test_chain_is_strict_and_contiguous(self):
         exp = macaulay_expand(100, 5)

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, output formats and exit codes."""
 import json
+import time
 
 import pytest
 
@@ -26,6 +27,13 @@ class TestExpansionVerbs:
         code, out, _ = capture("expand", "25", "3", "--json")
         assert code == 0
         assert json.loads(out)["terms"] == [[6, 3], [3, 2], [2, 1]]
+
+    def test_expand_huge_alpha_finishes(self, capture):
+        start = time.perf_counter()
+        code, out, _ = capture("expand", "100000000000000000000", "2", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["value"] == 10**20
 
     def test_upper(self, capture):
         code, out, _ = capture("upper", "25", "3")
@@ -149,3 +157,12 @@ class TestUsageErrors:
     def test_no_verb(self, capture):
         code, _, _ = capture()
         assert code == 2
+
+    @pytest.mark.parametrize("verb, literal", [
+        ("growth", '{"offset":0,"values":[1,2.9,1]}'),
+        ("gamma-to-h", '{"offset":0,"values":[-1.7,true,"0",0.7]}'),
+    ])
+    def test_non_integer_values_are_usage_errors(self, capture, verb, literal):
+        code, out, err = capture(verb, literal)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not an integer")

@@ -41,6 +41,21 @@ class TestCanonicalForm:
             assert f.values[0] != 0 and f.values[-1] != 0
 
 
+class TestIntegerEntries:
+    @pytest.mark.parametrize("offset, values", [
+        (0, (1, 2.9, 1)),
+        (0, (1, 2.0)),
+        (0, (True, -1)),
+        (0, ("0", 1)),
+        (0.0, (1,)),
+        (False, (1,)),
+        ("1", (1,)),
+    ])
+    def test_rejects_non_integers(self, offset, values):
+        with pytest.raises(TypeError):
+            IntFun(offset, values)
+
+
 class TestQueries:
     def test_sup_inf_total_degree(self):
         f = IntFun(0, (-1, -2, -1, 4))
