@@ -19,7 +19,6 @@ from . import (
     curve_invariants,
     decompose,
     decompose_codim3,
-    dg_from_components,
     enumerate_acm_curves,
     gamma_from_h,
     gamma_from_resolution,

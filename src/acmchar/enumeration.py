@@ -5,12 +5,11 @@ codimension-3 ACM curve characters up to a degree bound, with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .binomial import binom
 from .characters import (
     CurveInvariants,
     char_s0,
-    curve_invariants,
     surface_invariants,
 )
 from .codim3 import Codim3Decomposition
@@ -68,6 +67,13 @@ def enumerate_positive_characters(d: int, min_s0: int = 1,
     return out
 
 
+def _genus(twice: int) -> int:
+    """The genus g from 2g - 2, which must be even."""
+    if twice % 2 != 0:
+        raise ValueError("parity failure: invalid decomposition")
+    return twice // 2 + 1
+
+
 def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
     """Degree and genus of the curve from its surface components:
     d = sum d_i and 2g - 2 = sum (delta_i + (2i+1) d_i)."""
@@ -77,9 +83,7 @@ def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
         si = surface_invariants(part)
         d += si.d
         twice += si.delta + (2 * i + 1) * si.d
-    if twice % 2 != 0:
-        raise ValueError("parity failure: invalid decomposition")
-    return CurveInvariants(d, twice // 2 + 1)
+    return CurveInvariants(d, _genus(twice))
 
 
 @dataclass(frozen=True)
@@ -121,62 +125,45 @@ class DGTable:
         return {"pairs": dump(listed), "beyond_paper": dump(beyond)}
 
 
-def _max_r(max_degree: int) -> int:
-    r = 1
-    while binom(r + 4, 3) <= max_degree:
-        r += 1
-    return r
-
-
-def _component_tuples(max_degree: int, r: int):
-    """All chains (gamma_0, ..., gamma_r) of positive characters with
-    s0 >= 2 before the last slot, supports nested below the previous s0
-    and total degree <= max_degree."""
-
-    def extend(prefix: tuple[IntFun, ...], budget: int):
-        i = len(prefix)
-        if i == r + 1:
-            yield prefix
-            return
-        tail = r - i  # components still to place after this one
-        # later components need >= 3 each except the last, which needs >= 1
-        reserve = 3 * max(0, tail - 1) + (1 if tail > 0 else 0)
-        min_s0 = 2 if i < r else 1
-        cap = None if i == 0 else char_s0(prefix[-1]) - 1
-        for d_i in range(1, budget - reserve + 1):
-            for g in enumerate_positive_characters(d_i, min_s0, cap):
-                yield from extend(prefix + (g,), budget - d_i)
-
-    yield from extend((), max_degree)
-
-
 def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable:
     """All (degree, genus) pairs of codim-3 ACM curve characters of degree
     <= max_degree, with witnessing decompositions.
 
-    Nondegenerate curves have at least two components (r >= 1); passing
-    ``nondegenerate=False`` adds the single-component (hyperplane) case.
+    Each character is the recomposition of exactly one chain
+    (gamma_0, ..., gamma_r) of positive characters with s0 >= 2 before the
+    last slot and each support below the previous s0 (the codim-3
+    decomposition is unique), so chains are grouped by (d, g) directly,
+    with d and 2g - 2 summed over the components as in
+    ``dg_from_components``.  Nondegenerate curves have at least two
+    components (r >= 1); passing ``nondegenerate=False`` adds the
+    single-component (hyperplane) case.
     """
     if max_degree < (4 if nondegenerate else 1):
         raise ValueError("degree bound below the minimal curve degree")
-    by_char: dict[IntFun, Codim3Decomposition] = {}
+    min_parts = 2 if nondegenerate else 1
 
-    def record(parts: tuple[IntFun, ...]):
-        dec = Codim3Decomposition(parts)
-        by_char.setdefault(dec.recompose(), dec)
-
-    if not nondegenerate:
-        for d0 in range(1, max_degree + 1):
-            for g in enumerate_positive_characters(d0):
-                record((g,))
-    for r in range(1, _max_r(max_degree) + 1):
-        for parts in _component_tuples(max_degree, r):
-            record(parts)
+    @cache
+    def components(d_i: int, cap: int | None):
+        """(gamma, s0, delta) for each positive character of degree d_i
+        with support <= cap, built once per call."""
+        return tuple((g, char_s0(g), surface_invariants(g).delta)
+                     for g in enumerate_positive_characters(d_i, max_sup=cap))
 
     grouped: dict[tuple[int, int], list[Codim3Decomposition]] = {}
-    for gamma, dec in by_char.items():
-        inv = curve_invariants(gamma)
-        grouped.setdefault((inv.d, inv.g), []).append(dec)
+
+    def extend(prefix: tuple[IntFun, ...], cap: int | None, d: int, twice: int):
+        i = len(prefix)
+        for d_i in range(1, max_degree - d + 1):
+            for g, s0, delta in components(d_i, cap):
+                parts = prefix + (g,)
+                total = twice + delta + (2 * i + 1) * d_i
+                if len(parts) >= min_parts:
+                    grouped.setdefault((d + d_i, _genus(total)), []).append(
+                        Codim3Decomposition(parts))
+                if s0 >= 2:  # only a component with s0 >= 2 can be followed
+                    extend(parts, s0 - 1, d + d_i, total)
+
+    extend((), None, 0, 0)
     entries = []
     for (d, g) in sorted(grouped):
         wits = sorted(grouped[(d, g)],

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# largest offset that __str__ writes as leading zeros
+_MAX_PADDING = 16
+
 
 class ConstantTailError(ValueError):
     """A primitive was requested for a function whose values do not sum to
@@ -148,26 +151,32 @@ class IntFun:
 
     @classmethod
     def parse(cls, text: str) -> "IntFun":
-        """Parse the compact positional form "(v0,v1,...)" (offset 0)."""
-        s = text.strip()
-        if s.startswith("(") and s.endswith(")"):
-            s = s[1:-1]
-        s = s.replace("−", "-")  # tolerate unicode minus
-        if not s.strip():
-            return cls()
+        """Parse the compact positional form "(v0,v1,...)", whose window
+        starts at 0, or "(v0,v1,...)@n", whose window starts at n."""
+        # tolerate unicode minus
+        s, at, start = text.strip().replace("−", "-").partition("@")
         try:
+            offset = int(start) if at else 0
+            s = s.strip()
+            if s.startswith("(") and s.endswith(")"):
+                s = s[1:-1]
+            if not s.strip():
+                return cls()
             vals = tuple(int(p.strip()) for p in s.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed function literal: {text!r}") from exc
-        return cls(0, vals)
+        return cls(offset, vals)
 
     def __str__(self) -> str:
+        """Positional form padded from 0 for offsets from 0 to
+        _MAX_PADDING, and the "(...)@offset" form otherwise, so the output
+        grows with the window, not with the offset."""
         if not self.values:
             return "(0)"
-        if self.offset >= 0:
-            padded = (0,) * self.offset + self.values
-            return "(" + ",".join(str(v) for v in padded) + ")"
-        return f"({','.join(str(v) for v in self.values)})@{self.offset}"
+        body = ",".join(str(v) for v in self.values)
+        if 0 <= self.offset <= _MAX_PADDING:
+            return "(" + "0," * self.offset + body + ")"
+        return f"({body})@{self.offset}"
 
 
 def indicator(a: int) -> IntFun:

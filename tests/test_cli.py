@@ -81,6 +81,17 @@ class TestConversionVerbs:
         assert code == 0
         assert out == "(-1,-2,-1,4)"
 
+    def test_far_offset_prints_compactly(self, capsys):
+        code = run(["h-to-gamma", '{"offset":1000000,"values":[1]}'])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.encode()) < 100
+        assert IntFun.parse(out) == IntFun(1000000, (-1, 1))
+
+    def test_offset_form_is_accepted(self, capture):
+        code, out, _ = capture("growth", "(0,0,1)@-2")
+        assert code == 0 and out == "true"
+
     def test_malformed_literal_is_usage_error(self, capture):
         code, _, err = capture("gamma-to-h", "(1,x)")
         assert code == 2

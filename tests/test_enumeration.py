@@ -1,5 +1,6 @@
 """Enumeration of positive characters and of admissible ACM curve
 characters with (degree, genus) bookkeeping."""
+import hashlib
 import json
 from itertools import product
 
@@ -20,19 +21,21 @@ from acmchar import (
     is_positive_character,
     lex_oracle,
 )
+from acmchar.cli import run
 
 
 def F(*vals):
     return IntFun(0, tuple(vals))
 
 
-def brute_positive_characters(d, max_pos, max_entry):
-    """Reference enumeration by raw search over bounded windows."""
-    found = set()
+def brute_positive_characters(max_pos, max_entry):
+    """Reference enumeration by raw search over bounded windows: the
+    positive characters found there, bucketed by degree."""
+    found = {}
     for vals in product(range(-1, max_entry + 1), repeat=max_pos + 1):
         g = IntFun(0, vals)
-        if is_positive_character(g) and g.degree() == d:
-            found.add(g)
+        if is_positive_character(g):
+            found.setdefault(g.degree(), set()).add(g)
     return found
 
 
@@ -48,8 +51,9 @@ class TestPositiveCharacters:
             F(-1, 0, 0, 1), F(-1, -1, 2)}
 
     def test_matches_raw_search(self):
+        by_degree = brute_positive_characters(7, 3)
         for d in range(1, 8):
-            expect = brute_positive_characters(d, 7, 3)
+            expect = by_degree.get(d, set())
             got = set(enumerate_positive_characters(d))
             assert got == expect, d
 
@@ -158,6 +162,55 @@ class TestCurveTable:
     def test_pairs_sorted(self):
         table = enumerate_acm_curves(10)
         assert table.pairs() == sorted(table.pairs())
+
+
+# sha256 of json.dumps(enumerate_acm_curves(D).to_json(), sort_keys=True)
+GOLDEN_JSON = {
+    4: "7aaa0b755749daabff2d6256c866aca4d54f33f2cbad7b86f29daa0bd069b009",
+    5: "617db87edea78faaef38f484089ff259f377b0bb55fa269f93165cbbbba7eeb8",
+    6: "3bcdb0c52ae3515a4700d05067ed89e985de6215e531eb4c5ec5a7c8a094d729",
+    7: "8557a6d235f70679cc88c364f90c1c55fd79742f8f2352d7fad7058ba6ac9967",
+    8: "4a9ef0bd52b250687abf7f2bd40331c08fa407751c87d2a6c56819a168f47291",
+    9: "9874a9241cace831ac8dc0101a55aa262e579546f84d0a36a0fea355bfb494cf",
+    10: "b0c85147523b31d951e72980e9fa607718a763b99d0d3abbe3b106fff0e46d2b",
+    11: "cc9fac08b967201da823ecedea8604a5666457111d740bbed6339b37d332b1fc",
+    12: "104693348ff100ae79752cbbe49ea0c4504cb4a80870e9d6b140dc78038d4ed8",
+    13: "4b1776756d76367824afa87803046f390da2cc99dbfae3878c68276d62af00fa",
+    14: "a60e5d392e4bc9f871cd7f36cfc0df6bc8d42e936b30d31cc50ef29433815347",
+    15: "ce50ad393fce6422b7d5011d35af2b14af34d2a869d4d6b6f7466baa7a4cb0dc",
+    16: "79ffbb259924952072c394c2267e823f462c268691960af98ad7e54f9f82d472",
+}
+
+# sha256 of the stdout of ``enumerate --max-degree D --verbose --degenerate``
+GOLDEN_VERBOSE_DEGENERATE = {
+    4: "b2c7c79c0903b83f9e26d5dd0c2b2a01ef6950d6c23e4db276033025716d14fe",
+    5: "b68fb726d5dcd7ee5efd6749fe61ddb753455d783ac55ead2528262ccda4cf51",
+    6: "424a723c7d27cf21fa0b83d77bfddbb34a20a59dbfab4fccffe57aa9190b7ab3",
+    7: "66b36ace65c850af31c5ee5497f4990899bf113d30736139947715313c3e406b",
+    8: "abacff8a20cd16d78f75fbfa44b0d71c199b10ef5ef86decc0c1115779e8e38c",
+    9: "33284aa7f10082d7fc55aeb9a2007c19daa49a6543c6e1f8ad2aa8744aeaf6c2",
+    10: "12ecb59852a6c0d7beb3b71466254e91e7b01d294499bd2429538f336b35671d",
+}
+
+
+class TestGoldenOutput:
+    """The enumerator's output is fixed byte for byte: a faster enumerator
+    must reproduce these digests exactly."""
+
+    @pytest.mark.parametrize("max_degree", sorted(GOLDEN_JSON))
+    def test_json_digest(self, max_degree):
+        text = json.dumps(enumerate_acm_curves(max_degree).to_json(),
+                          sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == GOLDEN_JSON[max_degree]
+
+    @pytest.mark.parametrize("max_degree", sorted(GOLDEN_VERBOSE_DEGENERATE))
+    def test_verbose_degenerate_digest(self, capsys, max_degree):
+        code = run(["enumerate", "--max-degree", str(max_degree),
+                    "--verbose", "--degenerate"])
+        assert code == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_VERBOSE_DEGENERATE[max_degree]
 
 
 class TestCrossChecks:

@@ -149,9 +149,23 @@ class TestSerialization:
     def test_str_negative_offset_keeps_offset(self):
         assert str(IntFun(-1, (1, 2))) == "(1,2)@-1"
 
-    def test_parse_str_roundtrip_for_nonneg_offset(self):
+    def test_str_uses_offset_form_beyond_padding(self):
+        assert str(IntFun(16, (5,))) == "(" + "0," * 16 + "5)"
+        assert str(IntFun(17, (5, -1))) == "(5,-1)@17"
+        assert str(IntFun(10**6, (1,))) == "(1)@1000000"
+
+    def test_parse_offset_form(self):
+        assert IntFun.parse("(0,0,1)@-2") == IntFun(0, (1,))
+        assert IntFun.parse(" (1, 2) @ 3 ") == IntFun(3, (1, 2))
+        assert IntFun.parse("(−1,1)@−1") == IntFun(-1, (-1, 1))
+        for bad in ["(1,2)@", "(1,2)@x", "(1,2)@1@2", "(1,2)@1.5"]:
+            with pytest.raises(ValueError):
+                IntFun.parse(bad)
+
+    def test_parse_str_roundtrip(self):
         rng = random.Random(7)
-        for _ in range(50):
-            f = IntFun(rng.randint(0, 4),
+        assert IntFun.parse(str(IntFun())) == IntFun()
+        for _ in range(200):
+            f = IntFun(rng.randint(-40, 40),
                        tuple(rng.randint(-3, 3) for _ in range(5)))
             assert IntFun.parse(str(f)) == f

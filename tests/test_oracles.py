@@ -1,17 +1,26 @@
-"""The library's single decomposition route against the independent
-routes kept here as oracles: the direct greedy peel of a character and
-the direct quadric split-point search."""
+"""The library's single routes against the independent routes kept here
+as oracles: the direct greedy peel of a character, the direct quadric
+split-point search and the growth-recursion generator of h-vectors."""
 from functools import lru_cache
+
+import pytest
 
 from acmchar import (
     Codim3Decomposition,
     check_necessary,
+    curve_invariants,
     decompose_codim3,
     enumerate_acm_curves,
+    gamma_from_h,
     quadric_check,
 )
 
-from helpers import greedy_parts, quadric_search, small_characters
+from helpers import (
+    greedy_parts,
+    macaulay_functions,
+    quadric_search,
+    small_characters,
+)
 
 
 @lru_cache(maxsize=None)
@@ -63,3 +72,27 @@ def test_quadric_search_matches_quadric_check():
         q = quadric_check(gamma)
         assert (q.valid, q.t, q.s) == quadric_search(gamma), gamma
 
+
+
+@pytest.mark.parametrize("max_degree, nondegenerate, types, count", [
+    (20, True, (3,), 820),
+    (16, False, (0, 1, 2, 3), 424),
+])
+def test_witnesses_are_the_macaulay_characters(max_degree, nondegenerate,
+                                               types, count):
+    """Each character has one witness, with the (d, g) of its entry, and
+    the witnessed characters are exactly those of the Macaulay h-vectors
+    of the given types and mass <= max_degree."""
+    seen = set()
+    table = enumerate_acm_curves(max_degree, nondegenerate=nondegenerate)
+    for entry in table.entries:
+        for w in entry.witnesses:
+            gamma = w.recompose()
+            assert gamma not in seen, w
+            seen.add(gamma)
+            inv = curve_invariants(gamma)
+            assert (inv.d, inv.g) == (entry.d, entry.g), w
+    expect = {gamma_from_h(h)
+              for a in types for h in macaulay_functions(a, max_degree)}
+    assert len(expect) == count
+    assert seen == expect
