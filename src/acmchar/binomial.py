@@ -12,7 +12,6 @@ from functools import lru_cache
 from math import comb
 
 
-@lru_cache(maxsize=None)
 def binom(n: int, p: int) -> int:
     """C(n, p) with the degenerate column p = -1 admitted."""
     if p < -1:
@@ -30,7 +29,11 @@ class MacaulayExpansion:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((int(m), int(k)) for m, k in self.terms))
+        terms = tuple((m, k) for m, k in self.terms)
+        bad = [x for t in terms for x in t if type(x) is not int]
+        if bad:
+            raise TypeError(f"not an integer: {bad[0]!r}")
+        object.__setattr__(self, "terms", terms)
         self.validate()
 
     def validate(self):

@@ -104,10 +104,19 @@ def s1_general(gamma: IntFun, codim: int) -> int | None:
     """
     if codim < 2:
         raise ValueError("codim must be >= 2")
+    return _s1(gamma, codim, _checked_s0(gamma, codim))
+
+
+def _checked_s0(gamma: IntFun, codim: int) -> int:
+    """s0 of gamma; ValueError unless gamma passes :func:`check_necessary`."""
     chk = check_necessary(gamma, codim)
     if not chk:
-        raise ValueError(f"invalid codim-{codim} character: {chk.failure}")
-    c, s0 = codim, chk.s0
+        raise ValueError(f"not a codim-{codim} ACM character: {chk.failure}")
+    return chk.s0
+
+
+def _s1(gamma: IntFun, c: int, s0: int) -> int | None:
+    """The scan behind :func:`s1_general`, for a checked gamma with s0."""
     stop = max(gamma.sup() + 1, s0)
     for n in range(s0, stop + 1):
         if gamma(n) > binom(n - s0 + c - 2, c - 2) - binom(n + c - 2, c - 2):

@@ -14,7 +14,6 @@ from . import (
     ConstantTailError,
     IntFun,
     biliaison,
-    check_necessary,
     check_prop36_bounds,
     curve_invariants,
     decompose,
@@ -106,11 +105,8 @@ def _cmd_h_to_gamma(args):
 
 def _cmd_analyze_codim3(args):
     gamma = _parse_fun(args.function)
-    chk = check_necessary(gamma, 3)
-    if not chk:
-        raise ValueError(f"not a codim-3 ACM character: {chk.failure}")
     dec = decompose_codim3(gamma)
-    s0 = chk.s0
+    s0 = dec.s0
     s1 = s1_general(gamma, 3)
     payload = {
         "s0": s0,
@@ -173,14 +169,11 @@ def _cmd_enumerate(args):
         print(json.dumps(table.to_json(), sort_keys=True))
         return 0
     listed, beyond = table.split()
-    for e in listed:
-        print(f"{e.d} {e.g} {len(e.witnesses)}")
-        if args.verbose:
-            for w in e.witnesses:
-                print("  " + " ".join(str(p) for p in w.parts))
-    if beyond:
-        print("beyond the classical list:")
-        for e in beyond:
+    for heading, entries in ((None, listed),
+                             ("beyond the classical list:", beyond)):
+        if heading and entries:
+            print(heading)
+        for e in entries:
             print(f"{e.d} {e.g} {len(e.witnesses)}")
             if args.verbose:
                 for w in e.witnesses:

@@ -7,13 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import (
+    _checked_s0,
+    _s1,
     char_s0,
     check_necessary,
     gamma_from_h,
     h_from_gamma,
     hypersurface_char,
     is_positive_character,
-    s1_general,
 )
 from .growth import MacaulayFn, _Layered, decompose
 from .intfun import IntFun
@@ -40,9 +41,7 @@ def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
     ``gamma_from_h`` to the components; degenerate characters (h-vector of
     type <= 2) are returned whole with r = 0.
     """
-    chk = check_necessary(gamma, 3)
-    if not chk:
-        raise ValueError(f"not a codim-3 ACM character: {chk.failure}")
+    _checked_s0(gamma, 3)
     try:
         h = h_from_gamma(gamma)
     except ValueError as exc:
@@ -91,11 +90,8 @@ def integral_screen(gamma: IntFun) -> bool:
     """Necessary (not sufficient) condition for gamma to come from an
     integral codim-3 ACM subscheme: gamma(n) >= min(0, n - s0 - s1 + 1)
     for n >= s1."""
-    chk = check_necessary(gamma, 3)
-    if not chk:
-        raise ValueError(f"not a codim-3 ACM character: {chk.failure}")
-    s0 = chk.s0
-    s1 = s1_general(gamma, 3)
+    s0 = _checked_s0(gamma, 3)
+    s1 = _s1(gamma, 3, s0)
     top = max(gamma.sup(), s0 + s1)
     for n in range(s1, top + 1):
         if gamma(n) < min(0, n - s0 - s1 + 1):

@@ -145,6 +145,11 @@ class _Layered:
     def r(self) -> int:
         return len(self.parts) - 1
 
+    @property
+    def s0(self) -> int:
+        """s0 of the recomposed function, which is r + 1."""
+        return self.r + 1
+
     def recompose(self) -> IntFun:
         total = IntFun()
         for i, p in enumerate(self.parts):
@@ -155,10 +160,6 @@ class _Layered:
 @dataclass(frozen=True)
 class Decomposition(_Layered):
     """Layers h_0, ..., h_r with h = h_0 + h_1[-1] + ... + h_r[-r]."""
-
-    @property
-    def s0(self) -> int:
-        return self.r + 1
 
     def validate(self, type_a: int) -> None:
         """Check all structural invariants for a decomposition of a
@@ -218,31 +219,10 @@ HIGHER_TYPE = "higher-type"
 
 
 def type12_shape(h: IntFun) -> str:
-    """Classify h by the explicit shape of type-0/1/2 Macaulay functions."""
+    """Classify h as a Macaulay function of type 0, 1 or 2, of higher
+    type, or not a Macaulay function (the zero function counts as type 0)."""
     if h.is_zero():
         return TYPE0
-    if h.inf() < 0 or h(0) != 1 or any(v < 0 for v in h.values):
+    if not is_macaulay(h):
         return NOT_MACAULAY
-    a = h(1)
-    top = h.sup()
-    if a >= 3:
-        return HIGHER_TYPE if is_macaulay(h) else NOT_MACAULAY
-    if a == 0:
-        # only (1) itself: nothing may revive after the zero in degree 1
-        return TYPE0 if top == 0 else NOT_MACAULAY
-    if a == 1:
-        # decreasing, values in {0, 1}
-        for n in range(top + 1):
-            if h(n) not in (0, 1) or h(n + 1) > h(n):
-                return NOT_MACAULAY
-        return TYPE1
-    # a == 2: h(n) = n + 1 up to some s0 > 1, then decreasing
-    s0 = 0
-    while h(s0) == s0 + 1:
-        s0 += 1
-    if h(s0) > s0 + 1:
-        return NOT_MACAULAY
-    for n in range(s0, top + 1):
-        if h(n + 1) > h(n):
-            return NOT_MACAULAY
-    return TYPE2
+    return (TYPE0, TYPE1, TYPE2)[h(1)] if h(1) <= 2 else HIGHER_TYPE

@@ -1,7 +1,8 @@
 """Shared enumeration helpers for the test suite."""
 from itertools import product
 
-from acmchar import IntFun, is_positive_character, upper
+from acmchar import IntFun, is_macaulay, is_positive_character, upper
+from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2
 
 
 def macaulay_functions(type_a, max_mass):
@@ -97,3 +98,36 @@ def quadric_search(gamma):
         if above <= s <= above + gamma(s):
             return True, t, s
     return False, t, -1
+
+
+def type12_shape_rules(h):
+    """Oracle for ``type12_shape``: classify h by the explicit shapes of
+    the Macaulay functions of type 0, 1 and 2, without the growth bound
+    (``is_macaulay`` only decides the higher types)."""
+    if h.is_zero():
+        return TYPE0
+    if h.inf() < 0 or h(0) != 1 or any(v < 0 for v in h.values):
+        return NOT_MACAULAY
+    a = h(1)
+    top = h.sup()
+    if a >= 3:
+        return HIGHER_TYPE if is_macaulay(h) else NOT_MACAULAY
+    if a == 0:
+        # only (1) itself: nothing may revive after the zero in degree 1
+        return TYPE0 if top == 0 else NOT_MACAULAY
+    if a == 1:
+        # decreasing, values in {0, 1}
+        for n in range(top + 1):
+            if h(n) not in (0, 1) or h(n + 1) > h(n):
+                return NOT_MACAULAY
+        return TYPE1
+    # a == 2: h(n) = n + 1 up to some s0 > 1, then decreasing
+    s0 = 0
+    while h(s0) == s0 + 1:
+        s0 += 1
+    if h(s0) > s0 + 1:
+        return NOT_MACAULAY
+    for n in range(s0, top + 1):
+        if h(n + 1) > h(n):
+            return NOT_MACAULAY
+    return TYPE2

@@ -82,6 +82,15 @@ class TestExpansion:
         with pytest.raises(ValueError):
             MacaulayExpansion(())
 
+    @pytest.mark.parametrize("terms", [
+        ((6.9, 3), (3.5, 2), (2, True)),
+        ((6, 3), (3, 2), (2, True)),
+        (("6", 3),),
+    ])
+    def test_non_integer_terms_rejected(self, terms):
+        with pytest.raises(TypeError, match="not an integer"):
+            MacaulayExpansion(terms)
+
 
 class TestUpper:
     def test_zero_maps_to_zero(self):

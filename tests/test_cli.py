@@ -1,10 +1,12 @@
 """Command-line interface: verbs, output formats and exit codes."""
 import json
+import sys
 import time
 
 import pytest
 
-from acmchar import IntFun
+import acmchar
+from acmchar import IntFun, check_necessary
 from acmchar.cli import run
 
 
@@ -15,6 +17,22 @@ def capture(capsys):
         out = capsys.readouterr()
         return code, out.out.strip(), out.err.strip()
     return invoke
+
+
+@pytest.fixture
+def necessary_calls(monkeypatch):
+    """Count check_necessary calls through every module that binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_necessary(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "acmchar"
+                and getattr(module, "check_necessary", None) is check_necessary):
+            monkeypatch.setattr(module, "check_necessary", counted)
+    return calls
 
 
 class TestExpansionVerbs:
@@ -106,6 +124,16 @@ class TestAnalysisVerbs:
         assert doc["s0"] == 2 and doc["s1"] == 2 and doc["r"] == 1
         assert doc["s1_from_decomposition"] == 2
         assert doc["bounds_ok"] and doc["integral_screen"]
+
+    def test_analyze_codim3_checks_the_character_three_times(
+            self, capture, necessary_calls):
+        code, _, _ = capture("analyze-codim3", "(-1,-2,-1,4)")
+        assert code == 0
+        assert 1 <= len(necessary_calls) <= 3
+
+    def test_integral_screen_checks_the_character_once(self, necessary_calls):
+        assert acmchar.integral_screen(IntFun(0, (-1, -2, -1, 4)))
+        assert len(necessary_calls) == 1
 
     def test_analyze_rejects_bad_character(self, capture):
         code, _, err = capture("analyze-codim3", "(-1,1,-1,1)")

@@ -1,18 +1,22 @@
 """The library's single routes against the independent routes kept here
 as oracles: the direct greedy peel of a character, the direct quadric
-split-point search and the growth-recursion generator of h-vectors."""
+split-point search, the growth-recursion generator of h-vectors and the
+explicit type-0/1/2 shape rules."""
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
 from acmchar import (
     Codim3Decomposition,
+    IntFun,
     check_necessary,
     curve_invariants,
     decompose_codim3,
     enumerate_acm_curves,
     gamma_from_h,
     quadric_check,
+    type12_shape,
 )
 
 from helpers import (
@@ -20,6 +24,7 @@ from helpers import (
     macaulay_functions,
     quadric_search,
     small_characters,
+    type12_shape_rules,
 )
 
 
@@ -64,6 +69,11 @@ def test_every_decomposition_validates():
         assert dec.recompose() == gamma
 
 
+def test_decomposition_s0_is_the_character_s0():
+    for gamma, dec in _decompositions():
+        assert dec.s0 == check_necessary(gamma, 3).s0, gamma
+
+
 def test_quadric_search_matches_quadric_check():
     quadrics = [g for g in _universe() if check_necessary(g, 3).s0 == 2]
     assert len(quadrics) > 1000
@@ -72,6 +82,13 @@ def test_quadric_search_matches_quadric_check():
         q = quadric_check(gamma)
         assert (q.valid, q.t, q.s) == quadric_search(gamma), gamma
 
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_shape_rules_match_type12_shape(offset):
+    for length in range(1, 7):
+        for vals in product(range(-1, 4), repeat=length):
+            h = IntFun(offset, vals)
+            assert type12_shape(h) == type12_shape_rules(h), h
 
 
 @pytest.mark.parametrize("max_degree, nondegenerate, types, count", [
