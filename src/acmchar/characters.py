@@ -49,13 +49,11 @@ def char_s0(gamma: IntFun) -> int:
 
 
 def is_positive_character(gamma: IntFun) -> bool:
-    """True iff gamma is -1 on [0, s0) and nonnegative from s0 on."""
-    if gamma.is_zero():
-        return False
-    if not gamma.is_character() or gamma.inf() < 0 or gamma(0) != -1:
-        return False
-    s0 = char_s0(gamma)
-    return all(gamma(n) >= 0 for n in range(s0, gamma.sup() + 1))
+    """True iff gamma passes :func:`check_necessary` in codim 2 with
+    s0 >= 1 and is nonnegative from s0 on."""
+    chk = check_necessary(gamma, 2)
+    return (chk.ok and chk.s0 >= 1
+            and all(gamma(n) >= 0 for n in range(chk.s0, gamma.sup() + 1)))
 
 
 @dataclass(frozen=True)
@@ -84,12 +82,11 @@ def check_necessary(gamma: IntFun, codim: int) -> NecessaryCheck:
         return NecessaryCheck(False, None, "zero function")
     if gamma.inf() < 0:
         return NecessaryCheck(False, None, "nonzero value in negative degree")
-    n = 0
-    while gamma(n) == -binom(n + c - 2, c - 2):
-        n += 1
-        if n > gamma.sup() + 1:
-            return NecessaryCheck(False, None, "no finite s0")
-    s0 = n
+    # stops by sup + 1: there gamma is 0 and the generic value is <= -1
+    # for c >= 2, and for c = 1 it is 0 from n = 1 on while gamma(sup) != 0
+    s0 = 0
+    while gamma(s0) == -binom(s0 + c - 2, c - 2):
+        s0 += 1
     if gamma(s0) <= -binom(s0 + c - 2, c - 2):
         return NecessaryCheck(False, s0, f"value at s0={s0} too negative")
     return NecessaryCheck(True, s0)
@@ -150,18 +147,40 @@ def complete_intersection_char(s0: int, s1: int) -> IntFun:
 # -- biliaison and resolutions --------------------------------------------
 
 
+# IntFun sums fill the gaps between windows with zeros, so these caps
+# bound the time and the size of the output
+MAX_BILIAISON_SPAN = 10**5
+MAX_RESOLUTION_CODIM = 1000
+
+
 def biliaison(gamma_x: IntFun, gamma_y: IntFun, h: int) -> IntFun:
     """Height-h elementary biliaison update on a support of character
-    gamma_y: n -> gamma_x(n-h) + gamma_y#(n) - gamma_y#(n-h)."""
+    gamma_y: n -> gamma_x(n-h) + gamma_y#(n) - gamma_y#(n-h).
+
+    Refuses when the three summands together span more than
+    MAX_BILIAISON_SPAN degrees."""
     p = gamma_y.primitive()
-    return gamma_x.shift(-h) + p - p.shift(-h)
+    x, q = gamma_x.shift(-h), p.shift(-h)
+    terms = [f for f in (x, p, q) if not f.is_zero()]
+    if terms:
+        span = max(f.sup() for f in terms) - min(f.inf() for f in terms) + 1
+        if span > MAX_BILIAISON_SPAN:
+            raise ValueError(f"biliaison spans {span} degrees, more than "
+                             f"{MAX_BILIAISON_SPAN}")
+    return x + p - q
+
+
+def _check_codim(codim: int) -> None:
+    if codim < 2:
+        raise ValueError("codim must be >= 2")
+    if codim > MAX_RESOLUTION_CODIM:
+        raise ValueError(f"codim must be <= {MAX_RESOLUTION_CODIM}")
 
 
 def resolution_char(gamma: IntFun, codim: int) -> IntFun:
     """Alternating rank function of a graded free resolution: the
     (codim-1)-fold difference of the character."""
-    if codim < 2:
-        raise ValueError("codim must be >= 2")
+    _check_codim(codim)
     r = gamma
     for _ in range(codim - 1):
         r = r.diff()
@@ -170,8 +189,7 @@ def resolution_char(gamma: IntFun, codim: int) -> IntFun:
 
 def gamma_from_resolution(r: IntFun, codim: int) -> IntFun:
     """Inverse of :func:`resolution_char`: (codim-1)-fold primitive."""
-    if codim < 2:
-        raise ValueError("codim must be >= 2")
+    _check_codim(codim)
     g = r
     for _ in range(codim - 1):
         g = g.primitive()

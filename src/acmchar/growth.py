@@ -71,18 +71,11 @@ _ORACLE_MAX_SUP = 8
 
 @lru_cache(maxsize=None)
 def _monomials(a: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All degree-n exponent vectors in a variables, descending lex with
-    x_1 > x_2 > ... > x_a."""
-    if a == 0:
-        return ((),) if n == 0 else ()
-    out = []
-    for combo in combinations_with_replacement(range(a), n):
-        exp = [0] * a
-        for v in combo:
-            exp[v] += 1
-        out.append(tuple(exp))
-    out.sort(reverse=True)
-    return tuple(out)
+    """All degree-n monomials in a variables as sorted tuples of variable
+    indices, in descending lex order with x_1 > x_2 > ... > x_a: where two
+    tuples first differ, the smaller index has the larger exponent and
+    every earlier variable the same one."""
+    return tuple(combinations_with_replacement(range(a), n))
 
 
 @lru_cache(maxsize=None)
@@ -90,15 +83,8 @@ def _product_indices(a: int, n: int) -> tuple[tuple[int, ...], ...]:
     """For each degree-n monomial, the indices of its products with each
     variable inside the degree-(n+1) list."""
     nxt = {m: i for i, m in enumerate(_monomials(a, n + 1))}
-    table = []
-    for exp in _monomials(a, n):
-        row = []
-        for v in range(a):
-            prod = list(exp)
-            prod[v] += 1
-            row.append(nxt[tuple(prod)])
-        table.append(tuple(row))
-    return tuple(table)
+    return tuple(tuple(nxt[tuple(sorted(m + (v,)))] for v in range(a))
+                 for m in _monomials(a, n))
 
 
 def lex_oracle(h: IntFun) -> bool:

@@ -53,6 +53,20 @@ def random_nonneg(rng, max_len=8, hi=9, offset=0):
     return IntFun(offset, tuple(rng.randint(0, hi) for _ in range(length)))
 
 
+def positive_rules(gamma):
+    """Oracle for ``is_positive_character``, read directly off the values:
+    a nonzero character vanishing in negative degrees, -1 on [0, s0) with
+    s0 >= 1, and nonnegative from s0 on."""
+    if gamma.is_zero():
+        return False
+    if not gamma.is_character() or gamma.inf() < 0 or gamma(0) != -1:
+        return False
+    s0 = 0
+    while gamma(s0) == -1:
+        s0 += 1
+    return all(gamma(n) >= 0 for n in range(s0, gamma.sup() + 1))
+
+
 def greedy_parts(gamma):
     """Oracle for ``decompose_codim3``: peel positive components off the
     front of a codim-3 character directly, without the h-vector.

@@ -1,4 +1,5 @@
 """Command-line interface: verbs, output formats and exit codes."""
+import hashlib
 import json
 import sys
 import time
@@ -7,6 +8,7 @@ import pytest
 
 import acmchar
 from acmchar import IntFun, check_necessary
+from acmchar.characters import MAX_BILIAISON_SPAN, MAX_RESOLUTION_CODIM
 from acmchar.cli import run
 
 
@@ -205,3 +207,91 @@ class TestUsageErrors:
         code, out, err = capture(verb, literal)
         assert (code, out) == (2, "")
         assert err.startswith("error: not an integer")
+
+
+class TestBoundedVerbs:
+    """Verbs whose dense output would grow with a height or a codim refuse
+    past a fixed bound, at once, instead of running for minutes."""
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["resolution", "(-1,1)", "--codim", "20000"], MAX_RESOLUTION_CODIM),
+        (["resolution", "(-1,1)", "--codim", "20000", "--inverse"],
+         MAX_RESOLUTION_CODIM),
+        (["biliaison", "(-1,1)", "(-1,1)", "30000000"], MAX_BILIAISON_SPAN),
+        (["biliaison", "(1,-1)@1000000000", "(-1,1)", "1"],
+         MAX_BILIAISON_SPAN),
+    ])
+    def test_refuses_past_the_bound(self, capture, argv, bound):
+        start = time.perf_counter()
+        code, out, err = capture(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(bound) in err
+
+    def test_resolution_answers_at_the_bound(self, capture):
+        code, out, _ = capture("resolution", "(-1,1)", "--codim",
+                               str(MAX_RESOLUTION_CODIM))
+        assert code == 0
+        assert IntFun.parse(out).sup() == MAX_RESOLUTION_CODIM
+        code, back, _ = capture("resolution", out, "--codim",
+                                str(MAX_RESOLUTION_CODIM), "--inverse")
+        assert (code, back) == (0, "(-1,1)")
+        for inverse in ([], ["--inverse"]):
+            code, _, err = capture("resolution", "(-1,1)", "--codim",
+                                   str(MAX_RESOLUTION_CODIM + 1), *inverse)
+            assert code == 1 and str(MAX_RESOLUTION_CODIM) in err
+
+    def test_biliaison_answers_at_the_bound(self, capture):
+        # the summands span [0, h + 1], so this h spans exactly the bound
+        height = MAX_BILIAISON_SPAN - 2
+        code, out, _ = capture("biliaison", "(-1,1)", "(-1,1)", str(height))
+        assert code == 0
+        assert IntFun.parse(out) == IntFun(0, (-1,)) + IntFun(height + 1, (1,))
+        code, _, err = capture("biliaison", "(-1,1)", "(-1,1)",
+                               str(height + 1))
+        assert code == 1 and str(MAX_BILIAISON_SPAN) in err
+
+    def test_non_character_is_refused_first(self, capture):
+        code, _, err = capture("biliaison", "(-1,1)", "(1)", "30000000")
+        assert code == 1 and "constant tail" in err
+
+
+# Function literals for TestGoldenOutput: h-vectors, characters, far and
+# negative offsets, an input beyond the lex oracle's scale, invalid ones.
+GOLDEN_LITERALS = [
+    "(1)", "(1,3,4)", "(1,3,6,10,11)", "(1,2,4)", "(1,5,1)",
+    "(1,2,3,4,5,6,7,8,9,10)", "(0,0,1)@-2", "(1,2,1)@40", "(-1,-2,-1,4)",
+    "(-1,-1,-1,3)", "(1,-1)@7", "(-1,1)@-1", "(0)", "(1,x)",
+    '{"offset":0,"values":[1,2.9,1]}', '{"offset":2,"values":[1,-3,2]}',
+]
+GOLDEN_ARGVS = (
+    [[verb, lit] for verb in ("growth", "lex-oracle", "gamma-to-h",
+                              "h-to-gamma")
+     for lit in GOLDEN_LITERALS]
+    + [["resolution", lit, "--codim", "3", *inverse]
+       for lit in GOLDEN_LITERALS for inverse in ([], ["--inverse"])]
+    + [["resolution", "(-1,-2,-1,4)", "--codim", codim, *inverse]
+       for codim in ("1", "2", "5") for inverse in ([], ["--inverse"])]
+    + [["biliaison", x, y, height]
+       for x in ("(-1,-2,-1,4)", "(1,-1)@7", "(1,x)")
+       for y in ("(-1,0,1)", "(-1,1)@-1", "(1,3,4)")
+       for height in ("-2", "0", "5")]
+)
+# recorded while each of these verbs still had its own handler
+GOLDEN_DIGEST = (
+    "c0fbc9ffb87f023ac439e82675d6d5d81888771705bd877a8dda088228dd517f")
+
+
+class TestGoldenOutput:
+    """The function verbs' output, errors included, is fixed byte for
+    byte in human and JSON form."""
+
+    def test_digest(self, capsys):
+        digest = hashlib.sha256()
+        for argv in GOLDEN_ARGVS:
+            for form in ([], ["--json"]):
+                code = run(argv + form)
+                out = capsys.readouterr()
+                digest.update(json.dumps(
+                    [argv + form, code, out.out, out.err]).encode())
+        assert digest.hexdigest() == GOLDEN_DIGEST

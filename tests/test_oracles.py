@@ -1,7 +1,8 @@
 """The library's single routes against the independent routes kept here
 as oracles: the direct greedy peel of a character, the direct quadric
-split-point search, the growth-recursion generator of h-vectors and the
-explicit type-0/1/2 shape rules."""
+split-point search, the growth-recursion generator of h-vectors, the
+explicit type-0/1/2 shape rules, the direct positivity rule and the
+exponent vectors of the lex tables."""
 from functools import lru_cache
 from itertools import product
 
@@ -15,13 +16,16 @@ from acmchar import (
     decompose_codim3,
     enumerate_acm_curves,
     gamma_from_h,
+    is_positive_character,
     quadric_check,
     type12_shape,
 )
+from acmchar.growth import _monomials, _product_indices
 
 from helpers import (
     greedy_parts,
     macaulay_functions,
+    positive_rules,
     quadric_search,
     small_characters,
     type12_shape_rules,
@@ -83,12 +87,66 @@ def test_quadric_search_matches_quadric_check():
         assert (q.valid, q.t, q.s) == quadric_search(gamma), gamma
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_shape_rules_match_type12_shape(offset):
+def _small_functions(offset):
+    """Every window of length <= 6 with values in -1..3 starting at the
+    offset: 19,530 functions."""
     for length in range(1, 7):
         for vals in product(range(-1, 4), repeat=length):
-            h = IntFun(offset, vals)
-            assert type12_shape(h) == type12_shape_rules(h), h
+            yield IntFun(offset, vals)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_shape_rules_match_type12_shape(offset):
+    for h in _small_functions(offset):
+        assert type12_shape(h) == type12_shape_rules(h), h
+
+
+def test_positive_rules_match_is_positive_character():
+    positive = 0
+    for offset in (-1, 0, 1):
+        for gamma in _small_functions(offset):
+            ok = is_positive_character(gamma)
+            assert ok == positive_rules(gamma), gamma
+            positive += ok
+    assert positive > 50
+
+
+@pytest.mark.parametrize("codim", [1, 2, 3, 4])
+def test_s0_is_at_most_one_past_the_support(codim):
+    """Why check_necessary needs no stop in its s0 scan: a nonzero
+    character vanishing in negative degrees has its s0 by sup + 1."""
+    checked = 0
+    for offset in (-1, 0, 1):
+        for gamma in _small_functions(offset):
+            if (gamma.is_character() and not gamma.is_zero()
+                    and gamma.inf() >= 0):
+                assert check_necessary(gamma, codim).s0 <= gamma.sup() + 1
+                checked += 1
+    assert checked > 1000
+
+
+def _exponents(a, monomial):
+    return tuple(monomial.count(v) for v in range(a))
+
+
+def test_monomials_are_descending_lex():
+    for a in range(5):
+        for n in range(7):
+            exps = [_exponents(a, m) for m in _monomials(a, n)]
+            every = [e for e in product(range(n + 1), repeat=a) if sum(e) == n]
+            assert sorted(exps) == sorted(every), (a, n)
+            assert all(x > y for x, y in zip(exps, exps[1:])), (a, n)
+
+
+def test_product_indices_multiply_by_each_variable():
+    for a in range(1, 5):
+        for n in range(6):
+            above = [_exponents(a, m) for m in _monomials(a, n + 1)]
+            for m, row in zip(_monomials(a, n), _product_indices(a, n)):
+                for v, j in enumerate(row):
+                    want = list(_exponents(a, m))
+                    want[v] += 1
+                    assert above[j] == tuple(want), (a, m, v)
 
 
 @pytest.mark.parametrize("max_degree, nondegenerate, types, count", [
