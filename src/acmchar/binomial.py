@@ -77,29 +77,40 @@ def _largest_top(rem: int, k: int) -> int:
     return lo
 
 
-def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
-    """Greedy i-binomial expansion of alpha >= 1."""
-    if alpha <= 0:
-        raise ValueError("alpha must be >= 1")
+def _greedy(alpha: int, i: int) -> tuple[list[tuple[int, int]], int]:
+    """The greedy i-binomial terms (m, k) of alpha >= 1 while the
+    remainder rem exceeds k, and that remainder.  From there every term is
+    C(k,k) = 1, so the expansion ends in rem such terms."""
     if i <= 0:
         raise ValueError("i must be >= 1")
     terms = []
     rem = alpha
     k = i
-    while rem > 0:
+    while rem > k:
         m = _largest_top(rem, k)
         terms.append((m, k))
         rem -= comb(m, k)
         k -= 1
+    return terms, rem
+
+
+def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
+    """Greedy i-binomial expansion of alpha >= 1."""
+    if alpha <= 0:
+        raise ValueError("alpha must be >= 1")
+    terms, rem = _greedy(alpha, i)
+    k = i - len(terms)
+    terms += [(n, n) for n in range(k, k - rem, -1)]
     return MacaulayExpansion(tuple(terms))
 
 
 @lru_cache(maxsize=None)
 def upper(alpha: int, i: int) -> int:
-    """The Macaulay growth bound alpha^<i> (with 0^<i> = 0)."""
+    """The Macaulay growth bound alpha^<i> (with 0^<i> = 0): each term
+    C(m,k) of the expansion lifts to C(m+1,k+1), and each C(k,k) to 1."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if alpha == 0:
         return 0
-    exp = macaulay_expand(alpha, i)
-    return sum(binom(m + 1, k + 1) for m, k in exp.terms)
+    terms, rem = _greedy(alpha, i)
+    return sum(comb(m + 1, k + 1) for m, k in terms) + rem

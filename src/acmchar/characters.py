@@ -136,12 +136,7 @@ def complete_intersection_char(s0: int, s1: int) -> IntFun:
     s0 <= s1: -1 on [0, s0), +1 on [s1, s0+s1)."""
     if s0 < 1 or s1 < s0:
         raise ValueError("need 1 <= s0 <= s1")
-    vals = [0] * (s0 + s1)
-    for n in range(s0):
-        vals[n] -= 1
-    for n in range(s1, s0 + s1):
-        vals[n] += 1
-    return IntFun(0, tuple(vals))
+    return IntFun(0, (-1,) * s0) + IntFun(s1, (1,) * s0)
 
 
 # -- biliaison and resolutions --------------------------------------------
@@ -223,10 +218,8 @@ class SurfaceInvariants:
 def curve_invariants(gamma: IntFun) -> CurveInvariants:
     """Degree and arithmetic genus of a curve with character gamma."""
     d = gamma.degree()
-    twice = sum((k - 1) * (k - 2) * v for k, v in gamma.support())
-    if twice % 2 != 0:
-        raise ValueError("non-integral genus")
-    return CurveInvariants(d, twice // 2 + 1)
+    g = 1 + sum((k - 1) * (k - 2) // 2 * v for k, v in gamma.support())
+    return CurveInvariants(d, g)
 
 
 def surface_invariants(gamma: IntFun) -> SurfaceInvariants:
@@ -234,10 +227,8 @@ def surface_invariants(gamma: IntFun) -> SurfaceInvariants:
     with character gamma."""
     d = gamma.degree()
     delta = sum((k * k - 4 * k) * v for k, v in gamma.support())
-    six = sum((k - 3) * (k - 2) * (k - 1) * v for k, v in gamma.support())
-    if six % 6 != 0:
-        raise ValueError("non-integral p_a")
-    return SurfaceInvariants(d, delta, six // 6 - 1)
+    p_a = sum((k - 3) * (k - 2) * (k - 1) // 6 * v for k, v in gamma.support()) - 1
+    return SurfaceInvariants(d, delta, p_a)
 
 
 def hilbert_polynomial(gamma: IntFun, m_dim: int) -> tuple[Fraction, ...]:

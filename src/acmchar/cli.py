@@ -44,20 +44,19 @@ def _parse_fun(text: str) -> IntFun:
         if s.startswith("{"):
             return IntFun.from_json(json.loads(s))
         return IntFun.parse(s)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise _LiteralError(str(exc)) from exc
 
 
 def _emit(args, human: str, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
 
 
-def _emit_fun(args, f: IntFun) -> int:
+def _emit_fun(args, f: IntFun) -> None:
     _emit(args, str(f), f.to_json())
-    return 0
 
 
 def _cmd_expand(args):
@@ -65,20 +64,17 @@ def _cmd_expand(args):
     _emit(args, f"{args.alpha} = {exp}",
           {"value": args.alpha, "index": args.index,
            "terms": [list(t) for t in exp.terms]})
-    return 0
 
 
 def _cmd_upper(args):
     val = upper(args.alpha, args.index)
     _emit(args, str(val), {"result": val})
-    return 0
 
 
 def _cmd_growth(args):
     test = lex_oracle if args.verb == "lex-oracle" else is_macaulay
     ok = test(_parse_fun(args.function))
     _emit(args, "true" if ok else "false", {"macaulay": ok})
-    return 0
 
 
 def _cmd_decompose(args):
@@ -87,12 +83,11 @@ def _cmd_decompose(args):
     human += f"\nr = {dec.r}  s0 = {dec.s0}"
     _emit(args, human, {"parts": [p.to_json() for p in dec.parts],
                         "r": dec.r, "s0": dec.s0})
-    return 0
 
 
 def _cmd_convert(args):
     convert = h_from_gamma if args.verb == "gamma-to-h" else gamma_from_h
-    return _emit_fun(args, convert(_parse_fun(args.function)))
+    _emit_fun(args, convert(_parse_fun(args.function)))
 
 
 def _cmd_analyze_codim3(args):
@@ -115,36 +110,32 @@ def _cmd_analyze_codim3(args):
     lines.append(f"interval bounds: {'ok' if payload['bounds_ok'] else 'violated'}")
     lines.append(f"integral screen: {'pass' if payload['integral_screen'] else 'fail'}")
     _emit(args, "\n".join(lines), payload)
-    return 0
 
 
 def _cmd_quadric_check(args):
     q = quadric_check(_parse_fun(args.function))
     human = f"valid t={q.t} s={q.s}" if q.valid else "invalid"
     _emit(args, human, {"valid": q.valid, "t": q.t, "s": q.s})
-    return 0
 
 
 def _cmd_invariants(args):
-    gamma = _parse_fun(args.curve if args.curve else args.surface)
-    if args.curve:
-        inv = curve_invariants(gamma)
+    if args.curve is not None:
+        inv = curve_invariants(_parse_fun(args.curve))
         _emit(args, f"d={inv.d} g={inv.g}", {"d": inv.d, "g": inv.g})
     else:
-        inv = surface_invariants(gamma)
+        inv = surface_invariants(_parse_fun(args.surface))
         _emit(args, f"d={inv.d} delta={inv.delta} pa={inv.p_a}",
               {"d": inv.d, "delta": inv.delta, "p_a": inv.p_a})
-    return 0
 
 
 def _cmd_biliaison(args):
-    return _emit_fun(args, biliaison(_parse_fun(args.gamma_x),
-                                     _parse_fun(args.gamma_y), args.height))
+    _emit_fun(args, biliaison(_parse_fun(args.gamma_x),
+                              _parse_fun(args.gamma_y), args.height))
 
 
 def _cmd_resolution(args):
     step = gamma_from_resolution if args.inverse else resolution_char
-    return _emit_fun(args, step(_parse_fun(args.function), args.codim))
+    _emit_fun(args, step(_parse_fun(args.function), args.codim))
 
 
 def _cmd_enumerate(args):
@@ -152,7 +143,7 @@ def _cmd_enumerate(args):
                                  nondegenerate=not args.degenerate)
     if args.json:
         print(json.dumps(table.to_json(), sort_keys=True))
-        return 0
+        return
     listed, beyond = table.split()
     for heading, entries in ((None, listed),
                              ("beyond the classical list:", beyond)):
@@ -163,7 +154,6 @@ def _cmd_enumerate(args):
             if args.verbose:
                 for w in e.witnesses:
                     print("  " + " ".join(str(p) for p in w.parts))
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -231,13 +221,14 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        args.fn(args)
     except _LiteralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -67,23 +67,19 @@ def enumerate_positive_characters(d: int, min_s0: int = 1,
     return out
 
 
-def _genus(twice: int) -> int:
-    """The genus g from 2g - 2, which must be even."""
-    if twice % 2 != 0:
-        raise ValueError("parity failure: invalid decomposition")
-    return twice // 2 + 1
-
-
 def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
     """Degree and genus of the curve from its surface components:
-    d = sum d_i and 2g - 2 = sum (delta_i + (2i+1) d_i)."""
+    d = sum d_i and 2g - 2 = sum (delta_i + (2i+1) d_i).
+
+    Each summand is even: delta_i = sum (k^2 - 4k) gamma_i(k) has the
+    parity of d_i = sum k gamma_i(k), because k^2 - 4k = k (mod 2)."""
     d = 0
     twice = 0
     for i, part in enumerate(dec.parts):
         si = surface_invariants(part)
         d += si.d
         twice += si.delta + (2 * i + 1) * si.d
-    return CurveInvariants(d, _genus(twice))
+    return CurveInvariants(d, twice // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable
                 parts = prefix + (g,)
                 total = twice + delta + (2 * i + 1) * d_i
                 if len(parts) >= min_parts:
-                    grouped.setdefault((d + d_i, _genus(total)), []).append(
+                    grouped.setdefault((d + d_i, total // 2 + 1), []).append(
                         Codim3Decomposition(parts))
                 if s0 >= 2:  # only a component with s0 >= 2 can be followed
                     extend(parts, s0 - 1, d + d_i, total)

@@ -8,6 +8,8 @@ and instances can be used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+import operator
 
 # largest offset that __str__ writes as leading zeros
 _MAX_PADDING = 16
@@ -83,18 +85,14 @@ class IntFun:
 
     def support(self):
         """Iterate over (n, f(n)) for the stored window."""
-        for i, v in enumerate(self.values):
-            yield self.offset + i, v
+        return enumerate(self.values, self.offset)
 
     # -- calculus ---------------------------------------------------------
 
     def diff(self) -> "IntFun":
         """First difference  n -> f(n) - f(n-1); always a character."""
-        if not self.values:
-            return IntFun()
-        ext = self.values + (0,)
-        vals = tuple(ext[i] - (ext[i - 1] if i > 0 else 0) for i in range(len(ext)))
-        return IntFun(self.offset, vals)
+        v = self.values
+        return IntFun(self.offset, tuple(map(operator.sub, v + (0,), (0,) + v)))
 
     def primitive(self) -> "IntFun":
         """Prefix sums  n -> sum_{k<=n} f(k).
@@ -105,12 +103,7 @@ class IntFun:
         tail = self.total()
         if tail != 0:
             raise ConstantTailError(tail)
-        acc = 0
-        vals = []
-        for v in self.values:
-            acc += v
-            vals.append(acc)
-        return IntFun(self.offset, tuple(vals))
+        return IntFun(self.offset, tuple(accumulate(self.values)))
 
     def shift(self, d: int) -> "IntFun":
         """The function  n -> f(n + d)."""
@@ -127,8 +120,11 @@ class IntFun:
             return self
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        vals = tuple(self(n) + other(n) for n in range(lo, hi))
-        return IntFun(lo, vals)
+        vals = [0] * (hi - lo)
+        for f in (self, other):
+            for i, v in enumerate(f.values, f.offset - lo):
+                vals[i] += v
+        return IntFun(lo, tuple(vals))
 
     def __neg__(self) -> "IntFun":
         return IntFun(self.offset, tuple(-v for v in self.values))

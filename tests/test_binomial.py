@@ -66,6 +66,11 @@ class TestExpansion:
         assert ms == sorted(ms, reverse=True) and len(set(ms)) == len(ms)
         assert ks == list(range(ks[0], ks[-1] - 1, -1))
 
+    def test_ends_in_unit_terms(self):
+        # once the remainder is at most the index, every term is C(k,k)
+        assert macaulay_expand(5, 10).terms == (
+            (10, 10), (9, 9), (8, 8), (7, 7), (6, 6))
+
     def test_rejects_nonpositive_input(self):
         with pytest.raises(ValueError):
             macaulay_expand(0, 3)
@@ -112,6 +117,13 @@ class TestUpper:
         # also the count reached by an explicit lex-segment ideal in five
         # variables, so 42 is the exact bound here
         assert upper(25, 3) == 35 + 4 + 3 == 42
+
+    def test_matches_the_lifted_expansion(self):
+        for alpha in range(1, 401):
+            for i in range(1, 45):
+                lifted = sum(binom(m + 1, k + 1)
+                             for m, k in macaulay_expand(alpha, i).terms)
+                assert upper(alpha, i) == lifted
 
     def test_monotone_in_alpha(self):
         for i in range(1, 9):

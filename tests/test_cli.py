@@ -60,6 +60,13 @@ class TestExpansionVerbs:
         assert code == 0
         assert out == "42"
 
+    def test_upper_all_ones_finishes(self, capture):
+        # every term of the expansion is C(k,k), so the bound is alpha
+        start = time.perf_counter()
+        code, out, _ = capture("upper", "10000000", "10000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "10000000")
+
     def test_upper_domain_error(self, capture):
         code, _, err = capture("upper", "-1", "2")
         assert code == 1
@@ -151,6 +158,11 @@ class TestAnalysisVerbs:
         assert code == 0
         assert out == "d=8 g=4"
 
+    @pytest.mark.parametrize("kind", ["--curve", "--surface"])
+    def test_invariants_empty_literal_is_zero(self, capture, kind):
+        assert (capture("invariants", kind, "")
+                == capture("invariants", kind, "(0)"))
+
     def test_invariants_surface(self, capture):
         code, out, _ = capture("invariants", "--surface", "(-1,-1,-1,3)")
         assert code == 0
@@ -207,6 +219,16 @@ class TestUsageErrors:
         code, out, err = capture(verb, literal)
         assert (code, out) == (2, "")
         assert err.startswith("error: not an integer")
+
+
+    @pytest.mark.parametrize("literal", [
+        '{"a":' * 100000 + "1" + "}" * 100000,
+        '{"offset":0,"values":' + "[" * 100000 + "]" * 100000 + "}",
+    ], ids=["object", "values"])
+    def test_deeply_nested_json_is_usage_error(self, capture, literal):
+        code, out, err = capture("growth", literal)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestBoundedVerbs:

@@ -3,7 +3,7 @@ serialization."""
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from acmchar import ConstantTailError, IntFun, indicator
 
@@ -12,6 +12,20 @@ intfuns = st.builds(
     st.integers(min_value=-6, max_value=6),
     st.lists(st.integers(min_value=-9, max_value=9), max_size=8).map(tuple),
 )
+
+
+# windows up to 2 * 10**6 apart
+far_intfuns = st.builds(
+    IntFun,
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=8).map(tuple),
+)
+
+
+def window(*fs):
+    """Every n in the windows of the fs, with one step beyond each end."""
+    return sorted({n for f in fs if not f.is_zero()
+                   for n in range(f.inf() - 1, f.sup() + 2)})
 
 
 class TestCanonicalForm:
@@ -95,6 +109,23 @@ class TestCalculus:
         g = f.diff()  # always a character
         assert g.primitive().diff() == g
 
+    @given(far_intfuns)
+    def test_diff_pointwise(self, f):
+        d = f.diff()
+        assert all(d(n) == f(n) - f(n - 1) for n in window(f))
+        assert d.is_zero() or (d.inf() >= f.inf() and d.sup() <= f.sup() + 1)
+
+    @given(far_intfuns)
+    def test_primitive_is_prefix_sums(self, f):
+        c = f + IntFun((f.sup() or 0) + 1, (-f.total(),))
+        p = c.primitive()
+        if c.is_zero():
+            assert p.is_zero()
+            return
+        sums = {n: sum(c(k) for k in range(c.inf(), n + 1)) for n in window(c)}
+        assert all(p(n) == v for n, v in sums.items())
+        assert p.inf() >= c.inf() and p.sup() < c.sup()
+
     def test_primitive_rejects_nonzero_sum(self):
         with pytest.raises(ConstantTailError) as info:
             IntFun(0, (1, 2)).primitive()
@@ -116,6 +147,17 @@ class TestArithmetic:
         s = f + g
         lo, hi = -20, 20
         assert all(s(n) == f(n) + g(n) for n in range(lo, hi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(far_intfuns, far_intfuns)
+    def test_add_and_sub_pointwise_far_apart(self, f, g):
+        s, t = f + g, f - g
+        for n in window(f, g):
+            assert s(n) == f(n) + g(n) and t(n) == f(n) - g(n)
+        for h in (s, t):
+            # every nonzero value lies in the two windows, none in the gap
+            nonzero = len(h.values) - h.values.count(0)
+            assert nonzero == sum(1 for n in window(f, g) if h(n))
 
     @given(intfuns)
     def test_sub_self_is_zero(self, f):

@@ -54,3 +54,31 @@ def test_no_float_arithmetic():
                 and isinstance(node.op, ast.Div)):
             found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def _functions(file_name):
+    return [node for name, node in _nodes()
+            if name == file_name and isinstance(node, ast.FunctionDef)]
+
+
+def test_only_run_returns_exit_codes():
+    """The CLI handlers print and return nothing; ``run`` alone maps
+    their outcome to an exit code."""
+    handlers = [f for f in _functions("cli.py")
+                if f.name.startswith(("_cmd_", "_emit"))]
+    assert len(handlers) >= 10
+    found = [f"{f.name}:{node.lineno}" for f in handlers
+             for node in ast.walk(f)
+             if isinstance(node, ast.Return) and node.value is not None]
+    assert found == []
+
+
+def test_intfun_arithmetic_reads_windows():
+    """IntFun methods work on the stored windows; only ``__call__``
+    evaluates a function at a point."""
+    methods = [f for f in _functions("intfun.py") if f.name != "__call__"]
+    found = [f"{f.name}:{node.lineno}" for f in methods
+             for node in ast.walk(f)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("self", "other")]
+    assert found == []
