@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+# an expansion can have min(alpha, i) terms; macaulay_expand refuses past this
+MAX_EXPANSION_TERMS = 10**5
+
 
 def binom(n: int, p: int) -> int:
     """C(n, p) with the degenerate column p = -1 admitted."""
@@ -99,6 +102,8 @@ def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
     if alpha <= 0:
         raise ValueError("alpha must be >= 1")
     terms, rem = _greedy(alpha, i)
+    if len(terms) + rem > MAX_EXPANSION_TERMS:
+        raise ValueError(f"expansion has more than {MAX_EXPANSION_TERMS} terms")
     k = i - len(terms)
     terms += [(n, n) for n in range(k, k - rem, -1)]
     return MacaulayExpansion(tuple(terms))

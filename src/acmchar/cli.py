@@ -142,7 +142,7 @@ def _cmd_enumerate(args):
     table = enumerate_acm_curves(args.max_degree,
                                  nondegenerate=not args.degenerate)
     if args.json:
-        print(json.dumps(table.to_json(), sort_keys=True))
+        table.write_json(sys.stdout)
         return
     listed, beyond = table.split()
     for heading, entries in ((None, listed),

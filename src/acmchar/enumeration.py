@@ -4,6 +4,7 @@ codimension-3 ACM curve characters up to a degree bound, with
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -120,6 +121,20 @@ class DGTable:
 
         return {"pairs": dump(listed), "beyond_paper": dump(beyond)}
 
+    def write_json(self, out) -> None:
+        """Write json.dumps(self.to_json(), sort_keys=True) and a newline."""
+        listed, beyond = self.split()
+        part = cache(lambda p: json.dumps(p.to_json(), sort_keys=True))
+        for head, entries in (('{"beyond_paper": [', beyond),
+                              ('], "pairs": [', listed)):
+            out.write(head)
+            for n, e in enumerate(entries):
+                wits = ", ".join(f"[{', '.join(map(part, w.parts))}]"
+                                 for w in e.witnesses)
+                out.write(f'{", " if n else ""}{{"d": {e.d}, "g": {e.g}, '
+                          f'"witnesses": [{wits}]}}')
+        out.write("]}\n")
+
 
 def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable:
     """All (degree, genus) pairs of codim-3 ACM curve characters of degree
@@ -139,31 +154,30 @@ def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable
     min_parts = 2 if nondegenerate else 1
 
     @cache
-    def components(d_i: int, cap: int | None):
-        """(gamma, s0, delta) for each positive character of degree d_i
-        with support <= cap, built once per call."""
-        return tuple((g, char_s0(g), surface_invariants(g).delta)
-                     for g in enumerate_positive_characters(d_i, max_sup=cap))
+    def components(d_i: int):
+        """(gamma, sup, s0, delta) per positive character of degree d_i."""
+        return tuple((g, g.sup(), char_s0(g), surface_invariants(g).delta)
+                     for g in enumerate_positive_characters(d_i))
 
-    grouped: dict[tuple[int, int], list[Codim3Decomposition]] = {}
+    grouped: dict[tuple[int, int], list[tuple[IntFun, ...]]] = {}
 
-    def extend(prefix: tuple[IntFun, ...], cap: int | None, d: int, twice: int):
+    def extend(prefix: tuple[IntFun, ...], cap: int, d: int, twice: int):
         i = len(prefix)
         for d_i in range(1, max_degree - d + 1):
-            for g, s0, delta in components(d_i, cap):
+            for g, sup, s0, delta in components(d_i):
+                if sup > cap:
+                    break  # sorted by sup, so the rest exceed cap too
                 parts = prefix + (g,)
                 total = twice + delta + (2 * i + 1) * d_i
                 if len(parts) >= min_parts:
-                    grouped.setdefault((d + d_i, total // 2 + 1), []).append(
-                        Codim3Decomposition(parts))
+                    grouped.setdefault((d + d_i, total // 2 + 1), []).append(parts)
                 if s0 >= 2:  # only a component with s0 >= 2 can be followed
                     extend(parts, s0 - 1, d + d_i, total)
 
-    extend((), None, 0, 0)
+    extend((), max_degree, 0, 0)  # every support is <= the degree
     entries = []
     for (d, g) in sorted(grouped):
-        wits = sorted(grouped[(d, g)],
-                      key=lambda w: (len(w.parts),
-                                     [(p.offset, p.values) for p in w.parts]))
-        entries.append(DGEntry(d, g, tuple(wits)))
+        wits = sorted(grouped[(d, g)],  # every part has offset 0
+                      key=lambda w: (len(w), [p.values for p in w]))
+        entries.append(DGEntry(d, g, tuple(map(Codim3Decomposition, wits))))
     return DGTable(tuple(entries))

@@ -15,6 +15,12 @@ import operator
 _MAX_PADDING = 16
 
 
+def _quote(x) -> str:
+    """repr of x, cut to 40 characters so that error messages stay short."""
+    r = repr(x)
+    return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
+
+
 class ConstantTailError(ValueError):
     """A primitive was requested for a function whose values do not sum to
     zero, so the result would be constant (nonzero) for large arguments."""
@@ -35,7 +41,7 @@ class IntFun:
         # exact type test: floats, bools and strings are rejected, not coerced
         if not {type(off), *map(type, vals)} <= {int}:
             bad = next(x for x in (off, *vals) if type(x) is not int)
-            raise TypeError(f"not an integer: {bad!r}")
+            raise TypeError(f"not an integer: {_quote(bad)}")
         # strip leading zeros, shifting the offset
         start = 0
         while start < len(vals) and vals[start] == 0:
@@ -160,7 +166,7 @@ class IntFun:
                 return cls()
             vals = tuple(int(p.strip()) for p in s.split(","))
         except ValueError as exc:
-            raise ValueError(f"malformed function literal: {text!r}") from exc
+            raise ValueError(f"malformed function literal: {_quote(text)}") from exc
         return cls(offset, vals)
 
     def __str__(self) -> str:

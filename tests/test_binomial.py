@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from acmchar import MacaulayExpansion, binom, macaulay_expand, upper
+from acmchar.binomial import MAX_EXPANSION_TERMS
 
 
 class TestBinom:
@@ -70,6 +71,18 @@ class TestExpansion:
         # once the remainder is at most the index, every term is C(k,k)
         assert macaulay_expand(5, 10).terms == (
             (10, 10), (9, 9), (8, 8), (7, 7), (6, 6))
+
+    def test_answers_at_the_term_bound(self):
+        exp = macaulay_expand(MAX_EXPANSION_TERMS, MAX_EXPANSION_TERMS)
+        assert len(exp.terms) == MAX_EXPANSION_TERMS
+        assert exp.terms[-1] == (1, 1)
+
+    def test_refuses_one_term_past_the_bound(self):
+        n = MAX_EXPANSION_TERMS + 1
+        with pytest.raises(ValueError, match=str(MAX_EXPANSION_TERMS)):
+            macaulay_expand(n, n)
+        # upper lifts every unit term to 1 without listing them
+        assert upper(n, n) == n
 
     def test_rejects_nonpositive_input(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ import time
 import pytest
 
 import acmchar
-from acmchar import IntFun, check_necessary
+from acmchar import IntFun, check_necessary, enumerate_acm_curves
+from acmchar.binomial import MAX_EXPANSION_TERMS
 from acmchar.characters import MAX_BILIAISON_SPAN, MAX_RESOLUTION_CODIM
 from acmchar.cli import run
 
@@ -197,6 +198,24 @@ class TestEnumerateVerb:
         assert code == 0
         assert any(line.startswith("  ") for line in out.splitlines())
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("max_degree", range(4, 25))
+    def test_json_is_the_table_dumped(self, capsys, max_degree, degenerate):
+        flag = ["--degenerate"] if degenerate else []
+        code = run(["enumerate", "--max-degree", str(max_degree), "--json",
+                    *flag])
+        table = enumerate_acm_curves(max_degree, nondegenerate=not degenerate)
+        assert code == 0
+        assert capsys.readouterr().out == json.dumps(
+            table.to_json(), sort_keys=True) + "\n"
+
+    def test_json_digest_degree_32(self, capsys):
+        code = run(["enumerate", "--max-degree", "32", "--json"])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert code == 0
+        assert digest == ("23e1f71e7ad88c2a7da035e025b3baec"
+                          "28e19adb1109cd3ee65dd7c1e4eeb1b1")
+
 
 class TestUsageErrors:
     def test_unknown_verb(self, capture):
@@ -230,6 +249,16 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("literal", [
+        "[" * 200001,
+        '{"offset":0,"values":["' + "x" * 200000 + '"]}',
+    ], ids=["positional", "json-string"])
+    def test_long_literal_is_quoted_briefly(self, capsys, literal):
+        code = run(["growth", literal])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err.startswith("error: ") and len(out.err.encode()) < 200
+
 
 class TestBoundedVerbs:
     """Verbs whose dense output would grow with a height or a codim refuse
@@ -242,6 +271,7 @@ class TestBoundedVerbs:
         (["biliaison", "(-1,1)", "(-1,1)", "30000000"], MAX_BILIAISON_SPAN),
         (["biliaison", "(1,-1)@1000000000", "(-1,1)", "1"],
          MAX_BILIAISON_SPAN),
+        (["expand", "1000000", "1000000"], MAX_EXPANSION_TERMS),
     ])
     def test_refuses_past_the_bound(self, capture, argv, bound):
         start = time.perf_counter()

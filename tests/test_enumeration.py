@@ -69,6 +69,15 @@ class TestPositiveCharacters:
         for g in enumerate_positive_characters(6, max_sup=3):
             assert g.sup() <= 3
 
+    def test_support_bound_keeps_a_prefix(self):
+        """Sorted by window length, the characters with support <= cap
+        come first, in the same order as without the bound."""
+        for d in range(1, 17):
+            every = enumerate_positive_characters(d)
+            for cap in range(1, d + 1):
+                assert enumerate_positive_characters(d, max_sup=cap) == [
+                    g for g in every if g.sup() <= cap], (d, cap)
+
     def test_rejects_degree_below_one(self):
         with pytest.raises(ValueError):
             enumerate_positive_characters(0)
