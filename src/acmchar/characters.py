@@ -114,7 +114,8 @@ def _checked_s0(gamma: IntFun, codim: int) -> int:
 
 def _s1(gamma: IntFun, c: int, s0: int) -> int | None:
     """The scan behind :func:`s1_general`, for a checked gamma with s0."""
-    stop = max(gamma.sup() + 1, s0)
+    # s0 <= stop: check_necessary's scan stops by sup + 1
+    stop = gamma.sup() + 1
     for n in range(s0, stop + 1):
         if gamma(n) > binom(n - s0 + c - 2, c - 2) - binom(n + c - 2, c - 2):
             return n
@@ -237,23 +238,17 @@ def hilbert_polynomial(gamma: IntFun, m_dim: int) -> tuple[Fraction, ...]:
     if m_dim < 0:
         raise ValueError("dimension must be >= 0")
     deg = m_dim + 1
-    coeffs = [Fraction(0)] * (deg + 1)
-    fact = math.factorial(deg)
+    scaled = [0] * (deg + 1)  # (M+1)! P, exact in integers
     for k, v in gamma.support():
         # expand prod_{j=1..M+1} (n + (j - k)) into powers of n
-        poly = [Fraction(1)]
+        poly = [1]
         for j in range(1, deg + 1):
-            c = Fraction(j - k)
-            nxt = [Fraction(0)] * (len(poly) + 1)
-            for i, p in enumerate(poly):
-                nxt[i] += c * p
-                nxt[i + 1] += p
-            poly = nxt
-        for idx, p in enumerate(poly):
-            coeffs[idx] -= Fraction(v, fact) * p
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+            poly = [(j - k) * p + q for p, q in zip(poly + [0], [0] + poly)]
+        scaled = [s - v * p for s, p in zip(scaled, poly)]
+    while len(scaled) > 1 and scaled[-1] == 0:
+        scaled.pop()
+    fact = math.factorial(deg)
+    return tuple(Fraction(c, fact) for c in scaled)
 
 
 def eval_polynomial(coeffs: tuple[Fraction, ...], n: int) -> Fraction:

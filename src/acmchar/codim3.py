@@ -67,6 +67,8 @@ def check_prop36_bounds(gamma: IntFun, dec: Codim3Decomposition) -> bool:
     """Interval lower bounds implied by the decomposition:
     gamma >= -s0(X) just after s0(X), >= -i on the layer-i window and
     >= 0 from s0(gamma_0) on.  Empty windows pass vacuously."""
+    if gamma.is_zero():
+        return True  # every bound is <= 0
     r = dec.r
     top = gamma.sup()
     for n in range(char_s0(dec.parts[0]), top + 1):

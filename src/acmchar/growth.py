@@ -78,22 +78,13 @@ def _monomials(a: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(a), n))
 
 
-@lru_cache(maxsize=None)
-def _product_indices(a: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """For each degree-n monomial, the indices of its products with each
-    variable inside the degree-(n+1) list."""
-    nxt = {m: i for i, m in enumerate(_monomials(a, n + 1))}
-    return tuple(tuple(nxt[tuple(sorted(m + (v,)))] for v in range(a))
-                 for m in _monomials(a, n))
-
-
 def lex_oracle(h: IntFun) -> bool:
     """Certify h as a Hilbert function by explicit lex-segment construction.
 
     In a = h(1) variables, mark in each degree n the first
     count_n - h(n) monomials (descending lex) as belonging to the ideal;
-    h is a Hilbert function iff every marked monomial stays marked after
-    multiplication by any variable.
+    h is a Hilbert function iff they form an ideal: each unmarked
+    monomial stays unmarked after division by any of its variables.
     """
     if h.is_zero() or h.inf() < 0 or h(0) != 1 or any(v < 0 for v in h.values):
         return False
@@ -101,20 +92,12 @@ def lex_oracle(h: IntFun) -> bool:
     top = h.sup() + 1
     if a > _ORACLE_MAX_TYPE or h.sup() > _ORACLE_MAX_SUP:
         raise ValueError("input exceeds the oracle scale bound")
-    marked = []
-    for n in range(top + 1):
-        count = len(_monomials(a, n))
-        if h(n) > count:
-            return False
-        marked.append(count - h(n))
-    for n in range(top):
-        table = _product_indices(a, n)
-        limit = marked[n + 1]
-        for idx in range(marked[n]):
-            for j in table[idx]:
-                if j >= limit:
-                    return False
-    return True
+    if any(h(n) > len(_monomials(a, n)) for n in range(top + 1)):
+        return False
+    unmarked = [set(_monomials(a, n)[::-1][:h(n)]) for n in range(top + 1)]
+    # a sorted tuple stays sorted when one entry is dropped
+    return all(s[:i] + s[i + 1:] in unmarked[n - 1] for n in range(1, top + 1)
+               for s in unmarked[n] for i in range(n))
 
 
 # -- decomposition --------------------------------------------------------
@@ -179,7 +162,8 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
         n = 0
         while cur(n) >= binom(a + n - 2, n):
             n += 1
-        top = max(n - 1, cur.sup())
+        # every m < n is <= sup: cur(sup+1) = 0 < C(a+sup-1, sup+1), a >= 2
+        top = cur.sup()
         h0 = IntFun(0, tuple(binom(a + m - 2, m) if m < n else cur(m)
                              for m in range(top + 1)))
         hprime = (cur - h0).shift(1)

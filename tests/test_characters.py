@@ -25,7 +25,12 @@ from acmchar import (
 )
 from acmchar.characters import eval_polynomial
 
-from helpers import macaulay_functions, random_character, random_nonneg
+from helpers import (
+    macaulay_functions,
+    random_character,
+    random_intfun,
+    random_nonneg,
+)
 
 
 def F(*vals):
@@ -197,6 +202,23 @@ class TestPostulation:
         coeffs = hilbert_polynomial(gamma, 1)
         for n in range(4, 12):
             assert postulation_values(gamma, 1, n) == -eval_polynomial(coeffs, n)
+
+    def test_hilbert_polynomial_in_every_dimension(self):
+        """From n = sup - M - 1 on, every binomial in postulation_values is
+        the polynomial it expands to; one step lower, C(-1, M + 1) is 0."""
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(400):
+            gamma = random_intfun(rng, offset=rng.randint(-3, 8))
+            if gamma.is_zero():
+                continue
+            m = rng.randint(0, 5)
+            coeffs = hilbert_polynomial(gamma, m)
+            for n in range(gamma.sup() - m - 1, gamma.sup() + 6):
+                assert (postulation_values(gamma, m, n)
+                        == -eval_polynomial(coeffs, n)), (gamma, m, n)
+                checked += 1
+        assert checked > 3000
 
 
 class TestInvariants:

@@ -116,6 +116,11 @@ class TestIntervalBounds:
         tampered = gamma + IntFun(4, (-1,)) + IntFun(5, (1,))
         assert not check_prop36_bounds(tampered, dec)
 
+    def test_zero_function_passes(self):
+        # every bound is <= 0, so the zero function meets them all
+        for gamma in (F(-1, -2, -1, 4), F(-1, 1)):
+            assert check_prop36_bounds(IntFun(), decompose_codim3(gamma))
+
 
 class TestIntegralScreen:
     def test_passes_canonical_examples(self):

@@ -84,6 +84,18 @@ class TestLexOracle:
     def test_value_above_monomial_count_fails(self):
         assert not lex_oracle(F(1, 2, 4))
 
+    def test_agrees_with_growth_at_type_4(self):
+        """Type 4 is the oracle's largest: every type-4 Macaulay function
+        of mass <= 16 within the scale bound, and each of them raised by
+        one in a single degree from 2 to min(sup + 1, 8)."""
+        base = [h for h in macaulay_functions(4, 16) if h.sup() <= 8]
+        bumped = [h + IntFun(n, (1,)) for h in base
+                  for n in range(2, min(h.sup() + 1, 8) + 1)]
+        assert (len(base), len(bumped)) == (197, 933)
+        assert sum(not is_macaulay(h) for h in bumped) == 293
+        for h in base + bumped:
+            assert lex_oracle(h) == is_macaulay(h), h
+
 
 class TestDecompose:
     def test_small_examples(self):

@@ -20,7 +20,7 @@ from acmchar import (
     quadric_check,
     type12_shape,
 )
-from acmchar.growth import _monomials, _product_indices
+from acmchar.growth import _monomials
 
 from helpers import (
     greedy_parts,
@@ -136,17 +136,6 @@ def test_monomials_are_descending_lex():
             every = [e for e in product(range(n + 1), repeat=a) if sum(e) == n]
             assert sorted(exps) == sorted(every), (a, n)
             assert all(x > y for x, y in zip(exps, exps[1:])), (a, n)
-
-
-def test_product_indices_multiply_by_each_variable():
-    for a in range(1, 5):
-        for n in range(6):
-            above = [_exponents(a, m) for m in _monomials(a, n + 1)]
-            for m, row in zip(_monomials(a, n), _product_indices(a, n)):
-                for v, j in enumerate(row):
-                    want = list(_exponents(a, m))
-                    want[v] += 1
-                    assert above[j] == tuple(want), (a, m, v)
 
 
 @pytest.mark.parametrize("max_degree, nondegenerate, types, count", [

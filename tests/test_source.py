@@ -82,3 +82,42 @@ def test_intfun_arithmetic_reads_windows():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("self", "other")]
     assert found == []
+
+
+_CACHES = ("cache", "lru_cache")
+
+
+def _is_cache(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id in _CACHES
+            or isinstance(node, ast.Attribute) and node.attr in _CACHES)
+
+
+def _process_caches(node, file_name):
+    """The caches that live as long as the process: decorated functions
+    and cache calls outside every function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_is_cache(d) for d in child.decorator_list):
+                yield f"{file_name}:{child.name}"
+        elif isinstance(child, ast.Call) and _is_cache(child):
+            yield f"{file_name}:{child.lineno}"
+        elif not isinstance(child, ast.Lambda):
+            yield from _process_caches(child, file_name)
+
+
+def test_module_level_caches_have_measured_traffic():
+    """A module-level cache keeps every entry for the life of the process,
+    so each one must earn its memory.  ``binomial.upper``'s is worth about
+    12% of the analyze-d24 per-query time: in process on a 2-core machine
+    with CPython 3.11, the median over 8 alternating runs was 191 us with
+    it and 217 us without; each query makes 17.4 calls, and a hit takes
+    0.25 us where a computed ``upper(10, 3)`` takes 2.1 us.
+    ``growth._monomials`` holds at most the lists up to the lex oracle's
+    scale bound (type 4, degree 9).  A cache made inside a function lives
+    for one call and is not counted here."""
+    found = {cached for path in SOURCES
+             for cached in _process_caches(ast.parse(path.read_text()),
+                                           path.name)}
+    assert found == {"binomial.py:upper", "growth.py:_monomials"}
