@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 import math
+import operator
 
 from .binomial import binom
-from .intfun import IntFun
+from .intfun import ConstantTailError, IntFun
 
 
 # -- conversions ----------------------------------------------------------
@@ -20,7 +22,8 @@ from .intfun import IntFun
 
 def gamma_from_h(h: IntFun) -> IntFun:
     """The character -diff(h) attached to an h-vector."""
-    return -h.diff()
+    v = h.values
+    return IntFun(h.offset, tuple(map(operator.sub, (0,) + v, v + (0,))))
 
 
 def h_from_gamma(gamma: IntFun) -> IntFun:
@@ -31,10 +34,12 @@ def h_from_gamma(gamma: IntFun) -> IntFun:
     """
     if not gamma.is_zero() and gamma.inf() < 0:
         raise ValueError("character does not vanish in negative degrees")
-    h = -gamma.primitive()
-    if any(v < 0 for v in h.values):
+    if gamma.total():
+        raise ConstantTailError(gamma.total())
+    h = tuple(accumulate(map(operator.neg, gamma.values)))
+    if min(h, default=0) < 0:
         raise ValueError("not an h-vector: negative value")
-    return h
+    return IntFun(gamma.offset, h)
 
 
 # -- positivity and s0/s1 -------------------------------------------------
@@ -42,10 +47,9 @@ def h_from_gamma(gamma: IntFun) -> IntFun:
 
 def char_s0(gamma: IntFun) -> int:
     """Least n >= 0 with gamma(n) != -1."""
-    n = 0
-    while gamma(n) == -1:
-        n += 1
-    return n
+    for n, v in enumerate(gamma.window(0)):
+        if v != -1:
+            return n
 
 
 def is_positive_character(gamma: IntFun) -> bool:
@@ -53,7 +57,7 @@ def is_positive_character(gamma: IntFun) -> bool:
     s0 >= 1 and is nonnegative from s0 on."""
     chk = check_necessary(gamma, 2)
     return (chk.ok and chk.s0 >= 1
-            and all(gamma(n) >= 0 for n in range(chk.s0, gamma.sup() + 1)))
+            and min(gamma.values[max(chk.s0 - gamma.offset, 0):], default=0) >= 0)
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,10 @@ def check_necessary(gamma: IntFun, codim: int) -> NecessaryCheck:
         return NecessaryCheck(False, None, "nonzero value in negative degree")
     # stops by sup + 1: there gamma is 0 and the generic value is <= -1
     # for c >= 2, and for c = 1 it is 0 from n = 1 on while gamma(sup) != 0
-    s0 = 0
-    while gamma(s0) == -binom(s0 + c - 2, c - 2):
-        s0 += 1
-    if gamma(s0) <= -binom(s0 + c - 2, c - 2):
+    for s0, v in enumerate(gamma.window(0)):
+        if v != -binom(s0 + c - 2, c - 2):
+            break
+    if v <= -binom(s0 + c - 2, c - 2):
         return NecessaryCheck(False, s0, f"value at s0={s0} too negative")
     return NecessaryCheck(True, s0)
 
@@ -114,10 +118,8 @@ def _checked_s0(gamma: IntFun, codim: int) -> int:
 
 def _s1(gamma: IntFun, c: int, s0: int) -> int | None:
     """The scan behind :func:`s1_general`, for a checked gamma with s0."""
-    # s0 <= stop: check_necessary's scan stops by sup + 1
-    stop = gamma.sup() + 1
-    for n in range(s0, stop + 1):
-        if gamma(n) > binom(n - s0 + c - 2, c - 2) - binom(n + c - 2, c - 2):
+    for n, v in enumerate(gamma.window(s0, gamma.sup() + 2), s0):
+        if v > math.comb(n - s0 + c - 2, c - 2) - math.comb(n + c - 2, c - 2):
             return n
     return None
 

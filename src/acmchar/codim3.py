@@ -42,6 +42,11 @@ def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
     type <= 2) are returned whole with r = 0.
     """
     _checked_s0(gamma, 3)
+    return _decompose_checked(gamma)
+
+
+def _decompose_checked(gamma: IntFun) -> Codim3Decomposition:
+    """:func:`decompose_codim3` for a gamma that passed check_necessary."""
     try:
         h = h_from_gamma(gamma)
     except ValueError as exc:
@@ -69,23 +74,16 @@ def check_prop36_bounds(gamma: IntFun, dec: Codim3Decomposition) -> bool:
     >= 0 from s0(gamma_0) on.  Empty windows pass vacuously."""
     if gamma.is_zero():
         return True  # every bound is <= 0
-    r = dec.r
-    top = gamma.sup()
-    for n in range(char_s0(dec.parts[0]), top + 1):
-        if gamma(n) < 0:
-            return False
+    r, v, off = dec.r, gamma.values, gamma.offset
+    s = list(map(char_s0, dec.parts[:max(r, 1)]))
+    # (lo, hi, bound): gamma >= bound on [lo, hi); s0(X) = r + 1
+    windows = [(s[0], off + len(v), 0)]
     if r >= 1:
-        s0x = r + 1
-        for n in range(s0x, char_s0(dec.parts[r - 1]) + s0x - 2):
-            if gamma(n) < -s0x:
-                return False
-        for i in range(1, r):
-            lo = char_s0(dec.parts[i]) + i
-            hi = char_s0(dec.parts[i - 1]) + i - 1
-            for n in range(lo, hi):
-                if gamma(n) < -i:
-                    return False
-    return True
+        windows.append((r + 1, s[r - 1] + r - 1, -r - 1))
+    windows += [(s[i] + i, s[i - 1] + i - 1, -i) for i in range(1, r)]
+    # no bound is > 0, so the zeros outside the stored values meet them all
+    return all(min(v[max(lo - off, 0):max(hi - off, 0)], default=0) >= bound
+               for lo, hi, bound in windows)
 
 
 def integral_screen(gamma: IntFun) -> bool:
@@ -94,11 +92,8 @@ def integral_screen(gamma: IntFun) -> bool:
     for n >= s1."""
     s0 = _checked_s0(gamma, 3)
     s1 = _s1(gamma, 3, s0)
-    top = max(gamma.sup(), s0 + s1)
-    for n in range(s1, top + 1):
-        if gamma(n) < min(0, n - s0 - s1 + 1):
-            return False
-    return True
+    # no bound is > 0, so the zeros outside the stored values meet them all
+    return all(v >= min(0, n - s0 - s1 + 1) for n, v in gamma.support() if n >= s1)
 
 
 @dataclass(frozen=True)
@@ -118,11 +113,9 @@ def quadric_check(gamma: IntFun) -> QuadricCheck:
     chk = check_necessary(gamma, 3)
     if not chk or chk.s0 != 2:
         raise ValueError("quadric check needs a codim-3 character with s0 = 2")
-    t = 1
-    while gamma(t + 1) == -2:
-        t += 1
+    t = next(t for t, v in enumerate(gamma.window(2), 1) if v != -2)
     try:
-        dec = decompose_codim3(gamma)
+        dec = _decompose_checked(gamma)
     except ValueError:
         return QuadricCheck(False, t, -1)
     return QuadricCheck(True, t, char_s0(dec.parts[0]))
@@ -134,10 +127,8 @@ def integral_quadric_check(gamma: IntFun) -> bool:
     q = quadric_check(gamma)
     if not q.valid:
         raise ValueError("character fails the quadric shape test")
-    top = gamma.sup()
-    if gamma(q.t + 1) < -1:
-        return False
-    return all(gamma(n) >= 0 for n in range(q.t + 2, top + 1))
+    return (next(gamma.window(q.t + 1)) >= -1
+            and min(gamma.window(q.t + 2, gamma.sup() + 1), default=0) >= 0)
 
 
 def plane_union_char(d1: int, d2: int) -> IntFun:

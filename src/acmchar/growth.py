@@ -10,26 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
+from math import comb
+import operator
 
-from .binomial import binom, upper
+from .binomial import upper
 from .intfun import IntFun
 
 
 def is_macaulay(h: IntFun) -> bool:
     """True iff h is an O-sequence: h(0) = 1, values >= 0 and the Macaulay
     growth condition holds in every degree."""
-    if h.is_zero():
+    v = h.values
+    if not v or h.offset != 0 or v[0] != 1 or min(v) < 0:
         return False
-    if h.inf() < 0 or h(0) != 1:
-        return False
-    if any(v < 0 for v in h.values):
-        return False
-    top = h.sup()
-    for n in range(1, top + 1):
-        if h(n + 1) > upper(h(n), n):
-            return False
-    return True
+    # h(n+1) <= h(n)^<n> for 1 <= n < sup; h(sup+1) = 0 meets every bound
+    return all(map(operator.le, v[2:], map(upper, v[1:], count(1))))
 
 
 @dataclass(frozen=True)
@@ -54,13 +50,11 @@ def s0_of(h: IntFun | MacaulayFn) -> int:
     """Least n with h(n) < C(a+n-1, n), a = h(1).  Always finite (> 1) for
     finitely supported input of type a >= 1."""
     f = h.h if isinstance(h, MacaulayFn) else h
-    a = f(1)
+    a = next(f.window(1))
     if a < 1:
         raise ValueError("s0 is undefined for functions of type 0")
-    n = 0
-    while f(n) >= binom(a + n - 1, n):
-        n += 1
-    return n
+    # every bound C(a+n-1, n) is >= 1, so the scan stops by sup + 1
+    return next(n for n, v in enumerate(f.window(0)) if v < comb(a + n - 1, n))
 
 
 # -- lex-segment oracle ---------------------------------------------------
@@ -159,14 +153,15 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
     parts: list[IntFun] = []
     cur = mf.h
     while True:
-        n = 0
-        while cur(n) >= binom(a + n - 2, n):
-            n += 1
-        # every m < n is <= sup: cur(sup+1) = 0 < C(a+sup-1, sup+1), a >= 2
-        top = cur.sup()
-        h0 = IntFun(0, tuple(binom(a + m - 2, m) if m < n else cur(m)
-                             for m in range(top + 1)))
-        hprime = (cur - h0).shift(1)
+        # no layer exceeds C(a+m-1, m), so cur(0) = 1 and v starts at degree 0
+        v = cur.values
+        low = []
+        for x, g in zip(v, map(comb, count(a - 2), count())):  # C(a+m-2, m)
+            if x < g:
+                break
+            low.append(g)
+        h0 = IntFun(0, (*low, *v[len(low):]))
+        hprime = IntFun(-1, tuple(map(operator.sub, v, low)))  # (cur - h0).shift(1)
         parts.append(h0)
         if hprime(1) < a:
             parts.append(hprime)

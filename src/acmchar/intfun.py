@@ -8,7 +8,7 @@ and instances can be used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 import operator
 
 # largest offset that __str__ writes as leading zeros
@@ -93,6 +93,14 @@ class IntFun:
         """Iterate over (n, f(n)) for the stored window."""
         return enumerate(self.values, self.offset)
 
+    def window(self, lo: int, hi: int | None = None):
+        """Iterate over f(lo), f(lo + 1), ..., f(hi - 1), or without end
+        when hi is None: the stored values, padded with zeros."""
+        i = lo - self.offset
+        vals = (chain(self.values[i:], repeat(0)) if i >= 0
+                else chain(repeat(0, -i), self.values, repeat(0)))
+        return vals if hi is None else islice(vals, max(hi - lo, 0))
+
     # -- calculus ---------------------------------------------------------
 
     def diff(self) -> "IntFun":
@@ -119,24 +127,28 @@ class IntFun:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "IntFun") -> "IntFun":
-        if self.is_zero():
-            return other
+    def _merge(self, other: "IntFun", op) -> "IntFun":
+        """self op other, op in (operator.add, operator.sub), in one list."""
         if other.is_zero():
             return self
+        if self.is_zero():
+            return other if op is operator.add else -other
+        a, b = self.values, other.values
         lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        vals = [0] * (hi - lo)
-        for f in (self, other):
-            for i, v in enumerate(f.values, f.offset - lo):
-                vals[i] += v
+        vals = [0] * (max(self.offset + len(a), other.offset + len(b)) - lo)
+        i, j = self.offset - lo, other.offset - lo
+        vals[i:i + len(a)] = a
+        vals[j:j + len(b)] = map(op, vals[j:j + len(b)], b)
         return IntFun(lo, tuple(vals))
+
+    def __add__(self, other: "IntFun") -> "IntFun":
+        return self._merge(other, operator.add)
 
     def __neg__(self) -> "IntFun":
         return IntFun(self.offset, tuple(-v for v in self.values))
 
     def __sub__(self, other: "IntFun") -> "IntFun":
-        return self + (-other)
+        return self._merge(other, operator.sub)
 
     # -- serialization ----------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Shared enumeration helpers for the test suite."""
 from itertools import product
 
-from acmchar import IntFun, is_macaulay, is_positive_character, upper
+from acmchar import IntFun, binom, is_macaulay, is_positive_character, upper
 from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2
 
 
@@ -145,3 +145,98 @@ def type12_shape_rules(h):
         if h(n + 1) > h(n):
             return NOT_MACAULAY
     return TYPE2
+
+
+# -- point-by-point oracles for the window scans ---------------------------
+#
+# The library scans each stored window once; these read the same rules one
+# degree at a time through IntFun.__call__, as the library once did.
+
+
+def is_macaulay_pointwise(h):
+    """Oracle for ``is_macaulay``."""
+    if h.is_zero() or h.inf() < 0 or h(0) != 1:
+        return False
+    if any(h(n) < 0 for n in range(h.sup() + 1)):
+        return False
+    return all(h(n + 1) <= upper(h(n), n) for n in range(1, h.sup() + 1))
+
+
+def s0_of_pointwise(h):
+    """Oracle for ``s0_of`` on an IntFun."""
+    a = h(1)
+    if a < 1:
+        raise ValueError("s0 is undefined for functions of type 0")
+    n = 0
+    while h(n) >= binom(a + n - 1, n):
+        n += 1
+    return n
+
+
+def char_s0_pointwise(gamma):
+    """Oracle for ``char_s0``."""
+    n = 0
+    while gamma(n) == -1:
+        n += 1
+    return n
+
+
+def necessary_pointwise(gamma, c):
+    """Oracle for ``check_necessary`` as (ok, s0, failure)."""
+    if gamma.total() != 0:
+        return False, None, "values do not sum to zero"
+    if gamma.is_zero():
+        return False, None, "zero function"
+    if gamma.inf() < 0:
+        return False, None, "nonzero value in negative degree"
+    s0 = 0
+    while gamma(s0) == -binom(s0 + c - 2, c - 2):
+        s0 += 1
+    if gamma(s0) <= -binom(s0 + c - 2, c - 2):
+        return False, s0, f"value at s0={s0} too negative"
+    return True, s0, None
+
+
+def checked_s0_pointwise(gamma, c):
+    """s0 of gamma, or the library's ValueError for a rejected gamma."""
+    ok, s0, failure = necessary_pointwise(gamma, c)
+    if not ok:
+        raise ValueError(f"not a codim-{c} ACM character: {failure}")
+    return s0
+
+
+def s1_pointwise(gamma, c, s0):
+    """Oracle for the s1 scan of a checked gamma with the given s0."""
+    for n in range(s0, gamma.sup() + 2):
+        if gamma(n) > binom(n - s0 + c - 2, c - 2) - binom(n + c - 2, c - 2):
+            return n
+    return None
+
+
+def prop36_pointwise(gamma, dec):
+    """Oracle for ``check_prop36_bounds``."""
+    if gamma.is_zero():
+        return True
+    r = dec.r
+    top = gamma.sup()
+    if any(gamma(n) < 0 for n in range(char_s0_pointwise(dec.parts[0]), top + 1)):
+        return False
+    if r >= 1:
+        s0x = r + 1
+        hi = char_s0_pointwise(dec.parts[r - 1]) + s0x - 2
+        if any(gamma(n) < -s0x for n in range(s0x, hi)):
+            return False
+    for i in range(1, r):
+        lo = char_s0_pointwise(dec.parts[i]) + i
+        hi = char_s0_pointwise(dec.parts[i - 1]) + i - 1
+        if any(gamma(n) < -i for n in range(lo, hi)):
+            return False
+    return True
+
+
+def integral_screen_pointwise(gamma):
+    """Oracle for ``integral_screen``."""
+    s0 = checked_s0_pointwise(gamma, 3)
+    s1 = s1_pointwise(gamma, 3, s0)
+    top = max(gamma.sup(), s0 + s1)
+    return all(gamma(n) >= min(0, n - s0 - s1 + 1) for n in range(s1, top + 1))

@@ -145,6 +145,12 @@ class TestAnalysisVerbs:
         assert acmchar.integral_screen(IntFun(0, (-1, -2, -1, 4)))
         assert len(necessary_calls) == 1
 
+    def test_quadric_check_checks_the_character_once(
+            self, capture, necessary_calls):
+        code, out, _ = capture("quadric-check", "(-1,-2,-1,4)")
+        assert code == 0 and out == "valid t=1 s=3"
+        assert len(necessary_calls) == 1
+
     def test_analyze_rejects_bad_character(self, capture):
         code, _, err = capture("analyze-codim3", "(-1,1,-1,1)")
         assert code == 1 and "not a codim-3" in err

@@ -84,6 +84,36 @@ def test_intfun_arithmetic_reads_windows():
     assert found == []
 
 
+# the analyze-codim3 path: each scans its windows instead of evaluating
+# its IntFun arguments point by point
+WINDOW_SCANS = {
+    "growth.py": ("is_macaulay", "s0_of", "decompose"),
+    "characters.py": ("gamma_from_h", "h_from_gamma", "char_s0",
+                      "is_positive_character", "check_necessary", "_s1"),
+    "codim3.py": ("check_prop36_bounds", "integral_screen", "quadric_check",
+                  "integral_quadric_check"),
+}
+
+
+def test_window_scans_never_call_their_arguments():
+    """No function on the analyze-codim3 path calls one of its parameters
+    as a function; ``tests/helpers.py`` keeps the point-by-point versions
+    as oracles."""
+    found, seen = [], set()
+    for file_name, names in WINDOW_SCANS.items():
+        for f in _functions(file_name):
+            if f.name not in names:
+                continue
+            seen.add(f.name)
+            params = {a.arg for a in f.args.args}
+            found += [f"{f.name}:{node.lineno}" for node in ast.walk(f)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id in params]
+    assert seen == {n for names in WINDOW_SCANS.values() for n in names}
+    assert found == []
+
+
 _CACHES = ("cache", "lru_cache")
 
 
