@@ -96,9 +96,10 @@ def check_necessary(gamma: IntFun, codim: int) -> NecessaryCheck:
     return NecessaryCheck(True, s0)
 
 
-def s1_general(gamma: IntFun, codim: int) -> int | None:
+def s1_general(gamma: IntFun, codim: int) -> int:
     """Least n >= s0 where gamma exceeds the generic hypersurface defect
-    C(n-s0+c-2, c-2) - C(n+c-2, c-2); None when no such n exists.
+    C(n-s0+c-2, c-2) - C(n+c-2, c-2); s1 <= sup for every character that
+    passes :func:`check_necessary`.
 
     For codim 2 this is the first positive value at or after s0; for
     codim 3 the first value > -s0.
@@ -116,12 +117,15 @@ def _checked_s0(gamma: IntFun, codim: int) -> int:
     return chk.s0
 
 
-def _s1(gamma: IntFun, c: int, s0: int) -> int | None:
+def _s1(gamma: IntFun, c: int, s0: int) -> int:
     """The scan behind :func:`s1_general`, for a checked gamma with s0."""
-    for n, v in enumerate(gamma.window(s0, gamma.sup() + 2), s0):
+    # stops by sup: gamma is -C(n+c-2, c-2) below s0, so were it at or below
+    # the bound on [s0, sup] too, it would sum to at most
+    # C(sup-s0+c-1, c-1) - C(sup+c-1, c-1), which is < 0 for s0 >= 1; for
+    # s0 = 0 the bound is 0, and a nonzero sum-zero gamma exceeds 0 somewhere
+    for n, v in enumerate(gamma.window(s0, gamma.sup() + 1), s0):
         if v > math.comb(n - s0 + c - 2, c - 2) - math.comb(n + c - 2, c - 2):
             return n
-    return None
 
 
 # -- model characters -----------------------------------------------------
@@ -251,10 +255,3 @@ def hilbert_polynomial(gamma: IntFun, m_dim: int) -> tuple[Fraction, ...]:
         scaled.pop()
     fact = math.factorial(deg)
     return tuple(Fraction(c, fact) for c in scaled)
-
-
-def eval_polynomial(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc

@@ -4,15 +4,11 @@ codimension-3 ACM curve characters up to a degree bound, with
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cache
+from itertools import groupby, starmap
+from operator import itemgetter
 
-from .characters import (
-    CurveInvariants,
-    char_s0,
-    surface_invariants,
-)
+from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
 from .intfun import IntFun
 
@@ -27,45 +23,61 @@ REFERENCE_PAIRS_DEG10 = frozenset({
 REFERENCE_MAX_DEGREE = 10
 
 
-def _partitions(total: int, parts: int, low: int, high: int | None):
+def _partitions(total: int, parts: int, low: int, high: int):
     """Non-increasing tuples of the given length with entries in
     [low, high] summing to total."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    top = total - low * (parts - 1)
-    if high is not None:
-        top = min(top, high)
-    for first in range(top, low - 1, -1):
+    for first in range(min(total - low * (parts - 1), high), low - 1, -1):
+        if total - first > first * (parts - 1):
+            return  # the rest cannot fit below first, nor below a smaller one
         for rest in _partitions(total - first, parts - 1, low, first):
             yield (first,) + rest
+
+
+def _unit_positions(d: int, min_s0: int = 1, max_sup: int | None = None):
+    """(s0, positions) per positive character of degree d with s0 >= min_s0
+    and sup <= max_sup: -1 on [0, s0) plus units at p_1 >= ... >= p_s0 >= s0,
+    a partition of d + s0(s0-1)/2 into s0 parts >= s0, with sup = p_1 <= d."""
+    cap = d if max_sup is None else max_sup
+    s0 = max(min_s0, 1)
+    while s0 * (s0 + 1) // 2 <= d and s0 <= cap:
+        for positions in _partitions(d + s0 * (s0 - 1) // 2, s0, s0, cap):
+            yield s0, positions
+        s0 += 1
+
+
+def _character(s0: int, positions: tuple[int, ...]) -> IntFun:
+    """The positive character with parameter s0 and these unit positions."""
+    vals = [-1] * s0 + [0] * (positions[0] - s0 + 1)
+    for p in positions:
+        vals[p] += 1
+    return IntFun(0, tuple(vals))
+
+
+def _components(max_degree: int) -> list[tuple[IntFun, int, int, int, int]]:
+    """(gamma, d_i, sup, s0, delta) per positive character of degree
+    d_i <= max_degree, in values order, read off its unit positions p:
+    sup = p_1 and delta = sum p (p - 4) - sum_{k<s0} (k^2 - 4k), where the
+    last sum is s0 (s0 - 1) (2 s0 - 13) / 6."""
+    table = []
+    for d_i in range(1, max_degree + 1):
+        for s0, pos in _unit_positions(d_i):
+            delta = sum(p * (p - 4) for p in pos) - s0 * (s0 - 1) * (2 * s0 - 13) // 6
+            table.append((_character(s0, pos), d_i, pos[0], s0, delta))
+    return sorted(table, key=lambda c: c[0].values)
 
 
 def enumerate_positive_characters(d: int, min_s0: int = 1,
                                   max_sup: int | None = None) -> list[IntFun]:
     """All positive characters of degree d with s0 >= min_s0 and support
-    bounded by max_sup, in a deterministic canonical order.
-
-    A positive character with parameter s0 is -1 on [0, s0) and places s0
-    nonnegative units at positions >= s0; the unit positions form a
-    partition of d + s0(s0-1)/2 into s0 parts >= s0.
-    """
+    bounded by max_sup, sorted by (len(values), values)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    out = []
-    s0 = max(min_s0, 1)
-    while s0 * (s0 + 1) // 2 <= d and (max_sup is None or s0 <= max_sup):
-        weight = d + s0 * (s0 - 1) // 2
-        for positions in _partitions(weight, s0, s0, max_sup):
-            top = positions[0]
-            vals = [-1] * s0 + [0] * (top - s0 + 1)
-            for p in positions:
-                vals[p] += 1
-            out.append(IntFun(0, tuple(vals)))
-        s0 += 1
-    out.sort(key=lambda g: (len(g.values), g.values))
-    return out
+    return sorted(starmap(_character, _unit_positions(d, min_s0, max_sup)),
+                  key=lambda g: (len(g.values), g.values))
 
 
 def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
@@ -74,13 +86,14 @@ def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
 
     Each summand is even: delta_i = sum (k^2 - 4k) gamma_i(k) has the
     parity of d_i = sum k gamma_i(k), because k^2 - 4k = k (mod 2)."""
-    d = 0
-    twice = 0
-    for i, part in enumerate(dec.parts):
-        si = surface_invariants(part)
-        d += si.d
-        twice += si.delta + (2 * i + 1) * si.d
-    return CurveInvariants(d, twice // 2 + 1)
+    inv = [surface_invariants(p) for p in dec.parts]
+    twice = sum(si.delta + (2 * i + 1) * si.d for i, si in enumerate(inv))
+    return CurveInvariants(sum(si.d for si in inv), twice // 2 + 1)
+
+
+def _part_json(p: IntFun) -> str:
+    """json.dumps(p.to_json(), sort_keys=True): json writes ints as str()."""
+    return f'{{"offset": {p.offset}, "values": [{", ".join(map(str, p.values))}]}}'
 
 
 @dataclass(frozen=True)
@@ -104,27 +117,23 @@ class DGTable:
         missing from it."""
         listed, beyond = [], []
         for e in self.entries:
-            if e.d <= reference_max_degree and (e.d, e.g) not in reference:
-                beyond.append(e)
-            else:
-                listed.append(e)
+            missing = e.d <= reference_max_degree and (e.d, e.g) not in reference
+            (beyond if missing else listed).append(e)
         return listed, beyond
 
     def to_json(self) -> dict:
         listed, beyond = self.split()
-
-        def dump(entries):
-            return [{"d": e.d, "g": e.g,
-                     "witnesses": [[p.to_json() for p in w.parts]
-                                   for w in e.witnesses]}
-                    for e in entries]
-
+        dump = lambda entries: [{"d": e.d, "g": e.g, "witnesses": [
+            [p.to_json() for p in w.parts] for w in e.witnesses]} for e in entries]
         return {"pairs": dump(listed), "beyond_paper": dump(beyond)}
 
     def write_json(self, out) -> None:
         """Write json.dumps(self.to_json(), sort_keys=True) and a newline."""
         listed, beyond = self.split()
-        part = cache(lambda p: json.dumps(p.to_json(), sort_keys=True))
+        # keyed by id(p): an int key skips the dataclass __hash__ an IntFun
+        # key runs per lookup, and self holds every part, so no id is reused
+        memo: dict[int, str] = {}
+        part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))
         for head, entries in (('{"beyond_paper": [', beyond),
                               ('], "pairs": [', listed)):
             out.write(head)
@@ -140,44 +149,38 @@ def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable
     """All (degree, genus) pairs of codim-3 ACM curve characters of degree
     <= max_degree, with witnessing decompositions.
 
-    Each character is the recomposition of exactly one chain
-    (gamma_0, ..., gamma_r) of positive characters with s0 >= 2 before the
-    last slot and each support below the previous s0 (the codim-3
-    decomposition is unique), so chains are grouped by (d, g) directly,
-    with d and 2g - 2 summed over the components as in
-    ``dg_from_components``.  Nondegenerate curves have at least two
-    components (r >= 1); passing ``nondegenerate=False`` adds the
-    single-component (hyperplane) case.
+    Each character recomposes from exactly one chain (gamma_0, ..., gamma_r)
+    of positive characters, each with support below the s0 >= 2 of the one
+    before, and d and 2g - 2 sum over the components as in
+    ``dg_from_components``.  Nondegenerate curves have r >= 1;
+    ``nondegenerate=False`` adds the single-component (hyperplane) case.
     """
     if max_degree < (4 if nondegenerate else 1):
         raise ValueError("degree bound below the minimal curve degree")
-    min_parts = 2 if nondegenerate else 1
+    table = _components(max_degree)
+    # below[cap]: the components with sup <= cap, still in values order
+    below = [[c for c in table if c[2] <= cap]
+             for cap in range(max(c[3] for c in table))]
 
-    @cache
-    def components(d_i: int):
-        """(gamma, sup, s0, delta) per positive character of degree d_i."""
-        return tuple((g, g.sup(), char_s0(g), surface_invariants(g).delta)
-                     for g in enumerate_positive_characters(d_i))
+    grouped: dict[tuple[int, int, int], list[tuple[IntFun, ...]]] = {}
 
-    grouped: dict[tuple[int, int], list[tuple[IntFun, ...]]] = {}
-
-    def extend(prefix: tuple[IntFun, ...], cap: int, d: int, twice: int):
+    def extend(prefix: tuple[IntFun, ...], children, d: int, twice: int):
         i = len(prefix)
-        for d_i in range(1, max_degree - d + 1):
-            for g, sup, s0, delta in components(d_i):
-                if sup > cap:
-                    break  # sorted by sup, so the rest exceed cap too
-                parts = prefix + (g,)
-                total = twice + delta + (2 * i + 1) * d_i
-                if len(parts) >= min_parts:
-                    grouped.setdefault((d + d_i, total // 2 + 1), []).append(parts)
-                if s0 >= 2:  # only a component with s0 >= 2 can be followed
-                    extend(parts, s0 - 1, d + d_i, total)
+        budget = max_degree - d
+        for g, d_i, _, s0, delta in children:
+            if d_i > budget:
+                continue
+            parts = prefix + (g,)
+            total = twice + delta + (2 * i + 1) * d_i
+            if i or not nondegenerate:
+                grouped.setdefault((d + d_i, total, i + 1), []).append(parts)
+            if s0 >= 2:  # only a component with s0 >= 2 can be followed
+                extend(parts, below[s0 - 1], d + d_i, total)
 
-    extend((), max_degree, 0, 0)  # every support is <= the degree
-    entries = []
-    for (d, g) in sorted(grouped):
-        wits = sorted(grouped[(d, g)],  # every part has offset 0
-                      key=lambda w: (len(w), [p.values for p in w]))
-        entries.append(DGEntry(d, g, tuple(map(Codim3Decomposition, wits))))
-    return DGTable(tuple(entries))
+    # a depth-first walk over children in values order reaches the chains
+    # of each length in (len(w), [p.values for p in w]) order
+    extend((), table, 0, 0)
+    return DGTable(tuple(
+        DGEntry(d, twice // 2 + 1,
+                tuple(Codim3Decomposition(w) for k in keys for w in grouped.pop(k)))
+        for (d, twice), keys in groupby(sorted(grouped), itemgetter(0, 1))))

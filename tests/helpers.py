@@ -1,7 +1,21 @@
 """Shared enumeration helpers for the test suite."""
-from itertools import product
+from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement, product
 
-from acmchar import IntFun, binom, is_macaulay, is_positive_character, upper
+from acmchar import (
+    Codim3Decomposition,
+    DGEntry,
+    DGTable,
+    IntFun,
+    binom,
+    char_s0,
+    enumerate_positive_characters,
+    is_macaulay,
+    is_positive_character,
+    surface_invariants,
+    upper,
+)
 from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2
 
 
@@ -240,3 +254,65 @@ def integral_screen_pointwise(gamma):
     s1 = s1_pointwise(gamma, 3, s0)
     top = max(gamma.sup(), s0 + s1)
     return all(gamma(n) >= min(0, n - s0 - s1 + 1) for n in range(s1, top + 1))
+
+
+def eval_polynomial(coeffs, n):
+    """Horner evaluation at n of the coefficients, constant term first."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+# -- enumeration oracles ----------------------------------------------------
+
+
+def placed_positive_characters(d):
+    """(s0, gamma) for every placement of s0 units on [s0, d] after -1 on
+    [0, s0) whose degree is d: a raw search with no partition generator."""
+    out = []
+    for s0 in range(1, d + 1):
+        for pos in combinations_with_replacement(range(s0, d + 1), s0):
+            vals = [-1] * s0 + [pos.count(n) for n in range(s0, max(pos) + 1)]
+            gamma = IntFun(0, tuple(vals))
+            if gamma.degree() == d:
+                out.append((s0, gamma))
+    return out
+
+
+def walk_acm_curves(max_degree, nondegenerate=True):
+    """Oracle for ``enumerate_acm_curves``: the recursive walk by component
+    degree, each component's invariants computed from its IntFun, and each
+    pair's witnesses sorted by (len(w), [p.values for p in w]) at the end."""
+    if max_degree < (4 if nondegenerate else 1):
+        raise ValueError("degree bound below the minimal curve degree")
+    min_parts = 2 if nondegenerate else 1
+
+    @cache
+    def components(d_i):
+        """(gamma, sup, s0, delta) per positive character of degree d_i."""
+        return tuple((g, g.sup(), char_s0(g), surface_invariants(g).delta)
+                     for g in enumerate_positive_characters(d_i))
+
+    grouped = {}
+
+    def extend(prefix, cap, d, twice):
+        i = len(prefix)
+        for d_i in range(1, max_degree - d + 1):
+            for g, sup, s0, delta in components(d_i):
+                if sup > cap:
+                    break  # sorted by sup, so the rest exceed cap too
+                parts = prefix + (g,)
+                total = twice + delta + (2 * i + 1) * d_i
+                if len(parts) >= min_parts:
+                    grouped.setdefault((d + d_i, total // 2 + 1), []).append(parts)
+                if s0 >= 2:  # only a component with s0 >= 2 can be followed
+                    extend(parts, s0 - 1, d + d_i, total)
+
+    extend((), max_degree, 0, 0)  # every support is <= the degree
+    entries = []
+    for (d, g) in sorted(grouped):
+        wits = sorted(grouped[(d, g)],  # every part has offset 0
+                      key=lambda w: (len(w), [p.values for p in w]))
+        entries.append(DGEntry(d, g, tuple(map(Codim3Decomposition, wits))))
+    return DGTable(tuple(entries))

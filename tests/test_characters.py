@@ -23,9 +23,9 @@ from acmchar import (
     s1_general,
     surface_invariants,
 )
-from acmchar.characters import eval_polynomial
 
 from helpers import (
+    eval_polynomial,
     macaulay_functions,
     random_character,
     random_intfun,

@@ -1,12 +1,16 @@
 """Enumeration of positive characters and of admissible ACM curve
 characters with (degree, genus) bookkeeping."""
 import hashlib
+import io
 import json
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from acmchar import (
+    Codim3Decomposition,
+    DGEntry,
+    DGTable,
     IntFun,
     REFERENCE_PAIRS_DEG10,
     char_s0,
@@ -20,8 +24,12 @@ from acmchar import (
     is_macaulay,
     is_positive_character,
     lex_oracle,
+    surface_invariants,
 )
 from acmchar.cli import run
+from acmchar.enumeration import _components, _part_json, _partitions
+
+from helpers import placed_positive_characters, walk_acm_curves
 
 
 def F(*vals):
@@ -82,10 +90,51 @@ class TestPositiveCharacters:
         with pytest.raises(ValueError):
             enumerate_positive_characters(0)
 
+    def test_partitions_match_raw_search(self):
+        """The pruned generator lists every non-increasing tuple with
+        entries in [low, high] and the given sum, in descending order."""
+        for total, parts, low in product(range(13), range(5), range(4)):
+            for high in range(low - 1, total + 2):
+                every = [c[::-1] for c in combinations_with_replacement(
+                    range(low, high + 1), parts) if sum(c) == total]
+                got = list(_partitions(total, parts, low, high))
+                assert got == sorted(every, reverse=True), (total, parts, low, high)
+
+    def test_matches_unit_placements(self):
+        """Every min_s0 and max_sup, against a raw placement of units."""
+        for d in range(1, 13):
+            placed = placed_positive_characters(d)
+            for min_s0, max_sup in product(range(-1, 6), [None, *range(-1, d + 2)]):
+                want = sorted((g for s0, g in placed if s0 >= min_s0
+                               and (max_sup is None or g.sup() <= max_sup)),
+                              key=lambda g: (len(g.values), g.values))
+                got = enumerate_positive_characters(d, min_s0, max_sup)
+                assert got == want, (d, min_s0, max_sup)
+
     def test_deterministic_order(self):
         a = enumerate_positive_characters(7)
         b = enumerate_positive_characters(7)
         assert a == b
+
+
+class TestWalk:
+    @pytest.mark.parametrize("nondegenerate", [True, False])
+    def test_matches_recursive_walk(self, nondegenerate):
+        """Entries and the order of each pair's witnesses equal those of the
+        recursive walk that sorts its witnesses."""
+        for max_degree in range(4 if nondegenerate else 1, 25):
+            got = enumerate_acm_curves(max_degree, nondegenerate)
+            assert got == walk_acm_curves(max_degree, nondegenerate), max_degree
+
+    def test_component_table_reads_invariants_off_positions(self):
+        table = _components(40)
+        assert len(table) == sum(len(enumerate_positive_characters(d))
+                                 for d in range(1, 41))
+        for g, d_i, sup, s0, delta in table:
+            assert (d_i, sup, s0, delta) == (
+                g.degree(), g.sup(), char_s0(g), surface_invariants(g).delta), g
+        values = [c[0].values for c in table]
+        assert values == sorted(values)
 
 
 class TestDgFromComponents:
@@ -171,6 +220,47 @@ class TestCurveTable:
     def test_pairs_sorted(self):
         table = enumerate_acm_curves(10)
         assert table.pairs() == sorted(table.pairs())
+
+
+def F_at(offset, *vals):
+    return IntFun(offset, tuple(vals))
+
+
+class TestPartEncoding:
+    PARTS = [IntFun(), F(-1, 1), F_at(-3, -2, 0, 7), F_at(5, 1), F_at(-1, -4),
+             F(10**30, -(10**40)), F_at(-(10**20), 3, -3), F_at(10**25, -1)]
+
+    def test_part_string_is_json_dumps(self):
+        for p in self.PARTS:
+            assert _part_json(p) == json.dumps(p.to_json(), sort_keys=True), p
+
+    @staticmethod
+    def written(table):
+        out = io.StringIO()
+        table.write_json(out)
+        return out.getvalue()
+
+    def test_write_json_with_offsets(self):
+        parts = self.PARTS
+        table = DGTable((
+            DGEntry(4, 0, (Codim3Decomposition((parts[2], parts[3])),
+                           Codim3Decomposition((parts[5],)))),
+            DGEntry(10, 21, (Codim3Decomposition((parts[0], parts[6], parts[2])),)),
+            DGEntry(11, -7, (Codim3Decomposition((parts[4], parts[7])),)),
+        ))
+        listed, beyond = table.split()
+        assert listed and beyond
+        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+
+    def test_write_json_with_equal_distinct_parts(self):
+        a, b = F_at(2, 1, -1), F_at(2, 1, -1)
+        assert a == b and a is not b
+        table = DGTable((DGEntry(5, 1, (Codim3Decomposition((a, b)),
+                                        Codim3Decomposition((b, F(-1, 1), a)))),))
+        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+
+    def test_write_json_of_empty_table(self):
+        assert self.written(DGTable(())) == '{"beyond_paper": [], "pairs": []}\n'
 
 
 # sha256 of json.dumps(enumerate_acm_curves(D).to_json(), sort_keys=True)

@@ -17,6 +17,7 @@ from acmchar import (
     check_prop36_bounds,
     decompose_codim3,
     enumerate_acm_curves,
+    enumerate_positive_characters,
     gamma_from_h,
     h_from_gamma,
     integral_screen,
@@ -128,6 +129,27 @@ class TestScans:
     def test_s1(self, gamma, c):
         same(s1_general, lambda g, c: s1_pointwise(g, c, checked_s0_pointwise(g, c)),
              gamma, c)
+
+    @HYP
+    @given(st.data())
+    def test_s1_at_most_sup(self, data):
+        """The s1 scan stops at sup: no checked character needs more."""
+        c = data.draw(st.integers(min_value=2, max_value=4))
+        gamma = data.draw(st.one_of(gammas, characters(c)))
+        if check_necessary(gamma, c):
+            assert s1_general(gamma, c) <= gamma.sup()
+
+    def test_s1_at_most_sup_to_degree_24(self):
+        """Every codim-3 character of degree <= 24 (every witness of the
+        degenerate enumeration) and every positive character of degree
+        <= 24 as a codim-2 character."""
+        table = enumerate_acm_curves(24, nondegenerate=False)
+        codim3 = [w.recompose() for e in table.entries for w in e.witnesses]
+        codim2 = [g for d in range(1, 25) for g in enumerate_positive_characters(d)]
+        assert len(codim3) > 3000 and len(codim2) > 700
+        for c, chars in ((3, codim3), (2, codim2)):
+            for gamma in chars:
+                assert s1_general(gamma, c) <= gamma.sup(), (c, gamma)
 
     @HYP
     @given(gammas)
