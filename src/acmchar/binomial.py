@@ -81,9 +81,12 @@ def _largest_top(rem: int, k: int) -> int:
 
 
 def _greedy(alpha: int, i: int) -> tuple[list[tuple[int, int]], int]:
-    """The greedy i-binomial terms (m, k) of alpha >= 1 while the
+    """The greedy i-binomial terms (m, k) of alpha >= 0 while the
     remainder rem exceeds k, and that remainder.  From there every term is
     C(k,k) = 1, so the expansion ends in rem such terms."""
+    bad = [x for x in (alpha, i) if type(x) is not int]
+    if bad:
+        raise TypeError(f"not an integer: {bad[0]!r}")
     if i <= 0:
         raise ValueError("i must be >= 1")
     terms = []
@@ -115,7 +118,5 @@ def upper(alpha: int, i: int) -> int:
     C(m,k) of the expansion lifts to C(m+1,k+1), and each C(k,k) to 1."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if alpha == 0:
-        return 0
     terms, rem = _greedy(alpha, i)
     return sum(comb(m + 1, k + 1) for m, k in terms) + rem

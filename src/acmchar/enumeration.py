@@ -5,8 +5,7 @@ codimension-3 ACM curve characters up to a degree bound, with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, starmap
-from operator import itemgetter
+from itertools import starmap
 
 from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
@@ -162,25 +161,25 @@ def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable
     below = [[c for c in table if c[2] <= cap]
              for cap in range(max(c[3] for c in table))]
 
-    grouped: dict[tuple[int, int, int], list[tuple[IntFun, ...]]] = {}
-
-    def extend(prefix: tuple[IntFun, ...], children, d: int, twice: int):
-        i = len(prefix)
-        budget = max_degree - d
-        for g, d_i, _, s0, delta in children:
-            if d_i > budget:
-                continue
-            parts = prefix + (g,)
-            total = twice + delta + (2 * i + 1) * d_i
-            if i or not nondegenerate:
-                grouped.setdefault((d + d_i, total, i + 1), []).append(parts)
-            if s0 >= 2:  # only a component with s0 >= 2 can be followed
-                extend(parts, below[s0 - 1], d + d_i, total)
-
-    # a depth-first walk over children in values order reaches the chains
-    # of each length in (len(w), [p.values for p in w]) order
-    extend((), table, 0, 0)
+    grouped: dict[tuple[int, int], list[tuple[IntFun, ...]]] = {}
+    # a level lists the (parts, d, 2g - 2, children) of the chains of i parts
+    # that can be followed, in witness order: it extends the level before in
+    # order through values-ordered children, and levels come by length
+    level = [((), 0, 0, table)]
+    while level:
+        chains, level = level, []
+        for prefix, d, twice, children in chains:
+            i, budget = len(prefix), max_degree - d
+            for g, d_i, _, s0, delta in children:
+                if d_i > budget:
+                    continue
+                parts = prefix + (g,)
+                total = twice + delta + (2 * i + 1) * d_i
+                if i or not nondegenerate:
+                    grouped.setdefault((d + d_i, total), []).append(parts)
+                if s0 >= 2:  # only a component with s0 >= 2 can be followed
+                    level.append((parts, d + d_i, total, below[s0 - 1]))
     return DGTable(tuple(
         DGEntry(d, twice // 2 + 1,
-                tuple(Codim3Decomposition(w) for k in keys for w in grouped.pop(k)))
-        for (d, twice), keys in groupby(sorted(grouped), itemgetter(0, 1))))
+                tuple(map(Codim3Decomposition, grouped.pop((d, twice)))))
+        for d, twice in sorted(grouped)))

@@ -9,7 +9,6 @@ into type-(a-1) layers shifted against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement, count
 from math import comb
 import operator
@@ -63,7 +62,6 @@ _ORACLE_MAX_TYPE = 4
 _ORACLE_MAX_SUP = 8
 
 
-@lru_cache(maxsize=None)
 def _monomials(a: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All degree-n monomials in a variables as sorted tuples of variable
     indices, in descending lex order with x_1 > x_2 > ... > x_a: where two
@@ -86,9 +84,10 @@ def lex_oracle(h: IntFun) -> bool:
     top = h.sup() + 1
     if a > _ORACLE_MAX_TYPE or h.sup() > _ORACLE_MAX_SUP:
         raise ValueError("input exceeds the oracle scale bound")
-    if any(h(n) > len(_monomials(a, n)) for n in range(top + 1)):
+    monomials = [_monomials(a, n) for n in range(top + 1)]
+    if any(h(n) > len(m) for n, m in enumerate(monomials)):
         return False
-    unmarked = [set(_monomials(a, n)[::-1][:h(n)]) for n in range(top + 1)]
+    unmarked = [set(m[::-1][:h(n)]) for n, m in enumerate(monomials)]
     # a sorted tuple stays sorted when one entry is dropped
     return all(s[:i] + s[i + 1:] in unmarked[n - 1] for n in range(1, top + 1)
                for s in unmarked[n] for i in range(n))

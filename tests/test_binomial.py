@@ -118,6 +118,23 @@ class TestUpper:
         with pytest.raises(ValueError):
             upper(-1, 2)
 
+    @pytest.mark.parametrize("i", [0, -3])
+    def test_zero_checks_its_index(self, i):
+        with pytest.raises(ValueError, match="i must be >= 1"):
+            upper(0, i)
+
+    def test_rejects_non_integers_without_caching_them(self):
+        """A float equal to an int would otherwise be cached under the
+        int's key and answer every later call with a float."""
+        upper.cache_clear()
+        for alpha, i in [(2.0, 1), (True, 3), (1e20, 2), (5, 2.0)]:
+            with pytest.raises(TypeError, match="not an integer"):
+                upper(alpha, i)
+        with pytest.raises(TypeError, match="not an integer"):
+            macaulay_expand(2.5, 1)
+        assert type(upper(2, 1)) is int
+        assert upper(2, 1) == 3
+
     def test_small_values(self):
         # row h(n) -> max h(n+1) at n = 1 is a*(a+1)/2
         for a in range(1, 10):

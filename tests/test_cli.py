@@ -73,6 +73,12 @@ class TestExpansionVerbs:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("alpha", ["0", "5"])
+    def test_upper_index_error(self, capture, alpha):
+        code, _, err = capture("upper", alpha, "0")
+        assert code == 1
+        assert "i must be >= 1" in err
+
 
 class TestGrowthVerbs:
     def test_growth_true_false(self, capture):

@@ -1,5 +1,6 @@
 """Enumeration of positive characters and of admissible ACM curve
 characters with (degree, genus) bookkeeping."""
+import gc
 import hashlib
 import io
 import json
@@ -125,6 +126,18 @@ class TestWalk:
         for max_degree in range(4 if nondegenerate else 1, 25):
             got = enumerate_acm_curves(max_degree, nondegenerate)
             assert got == walk_acm_curves(max_degree, nondegenerate), max_degree
+
+    def test_leaves_no_cyclic_garbage(self):
+        """The walk builds no reference cycle, so its component table and
+        support lists go as soon as the call returns."""
+        gc.collect()
+        gc.disable()
+        try:
+            table = enumerate_acm_curves(16)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert table.entries
 
     def test_component_table_reads_invariants_off_positions(self):
         table = _components(40)

@@ -143,11 +143,11 @@ def test_module_level_caches_have_measured_traffic():
     12% of the analyze-d24 per-query time: in process on a 2-core machine
     with CPython 3.11, the median over 8 alternating runs was 191 us with
     it and 217 us without; each query makes 17.4 calls, and a hit takes
-    0.25 us where a computed ``upper(10, 3)`` takes 2.1 us.
-    ``growth._monomials`` holds at most the lists up to the lex oracle's
-    scale bound (type 4, degree 9).  A cache made inside a function lives
-    for one call and is not counted here."""
+    0.25 us where a computed ``upper(10, 3)`` takes 2.1 us.  The lex
+    oracle builds its monomial lists per call: the CLI calls it once per
+    process and no benchmark workload calls it.  A cache made inside a
+    function lives for one call and is not counted here."""
     found = {cached for path in SOURCES
              for cached in _process_caches(ast.parse(path.read_text()),
                                            path.name)}
-    assert found == {"binomial.py:upper", "growth.py:_monomials"}
+    assert found == {"binomial.py:upper"}
