@@ -7,9 +7,10 @@ all n > p >= 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+from .intfun import _Frozen
 
 # an expansion can have min(alpha, i) terms; macaulay_expand refuses past this
 MAX_EXPANSION_TERMS = 10**5
@@ -24,15 +25,14 @@ def binom(n: int, p: int) -> int:
     return comb(n, p) if n >= p else 0
 
 
-@dataclass(frozen=True)
-class MacaulayExpansion:
+class MacaulayExpansion(_Frozen):
     """The unique representation alpha = C(m_i,i) + C(m_{i-1},i-1) + ... +
     C(m_j,j) with m_i > m_{i-1} > ... > m_j >= j >= 1."""
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((m, k) for m, k in self.terms)
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
+        terms = tuple((m, k) for m, k in terms)
         bad = [x for t in terms for x in t if type(x) is not int]
         if bad:
             raise TypeError(f"not an integer: {bad[0]!r}")
@@ -80,13 +80,16 @@ def _largest_top(rem: int, k: int) -> int:
     return lo
 
 
-def _greedy(alpha: int, i: int) -> tuple[list[tuple[int, int]], int]:
-    """The greedy i-binomial terms (m, k) of alpha >= 0 while the
+def _greedy(alpha: int, i: int, least: int) -> tuple[list[tuple[int, int]], int]:
+    """The greedy i-binomial terms (m, k) of alpha >= least while the
     remainder rem exceeds k, and that remainder.  From there every term is
-    C(k,k) = 1, so the expansion ends in rem such terms."""
+    C(k,k) = 1, so the expansion ends in rem such terms.  Types are checked
+    before signs, so a negative float is refused as a non-integer too."""
     bad = [x for x in (alpha, i) if type(x) is not int]
     if bad:
         raise TypeError(f"not an integer: {bad[0]!r}")
+    if alpha < least:
+        raise ValueError(f"alpha must be >= {least}")
     if i <= 0:
         raise ValueError("i must be >= 1")
     terms = []
@@ -102,9 +105,7 @@ def _greedy(alpha: int, i: int) -> tuple[list[tuple[int, int]], int]:
 
 def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
     """Greedy i-binomial expansion of alpha >= 1."""
-    if alpha <= 0:
-        raise ValueError("alpha must be >= 1")
-    terms, rem = _greedy(alpha, i)
+    terms, rem = _greedy(alpha, i, 1)
     if len(terms) + rem > MAX_EXPANSION_TERMS:
         raise ValueError(f"expansion has more than {MAX_EXPANSION_TERMS} terms")
     k = i - len(terms)
@@ -116,7 +117,5 @@ def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
 def upper(alpha: int, i: int) -> int:
     """The Macaulay growth bound alpha^<i> (with 0^<i> = 0): each term
     C(m,k) of the expansion lifts to C(m+1,k+1), and each C(k,k) to 1."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    terms, rem = _greedy(alpha, i)
+    terms, rem = _greedy(alpha, i, 0)
     return sum(comb(m + 1, k + 1) for m, k in terms) + rem

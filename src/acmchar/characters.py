@@ -7,14 +7,12 @@ Characters of subschemes additionally vanish in negative degrees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 import math
 import operator
 
 from .binomial import binom
-from .intfun import ConstantTailError, IntFun
+from .intfun import ConstantTailError, IntFun, _Frozen
 
 
 # -- conversions ----------------------------------------------------------
@@ -60,11 +58,13 @@ def is_positive_character(gamma: IntFun) -> bool:
             and min(gamma.values[max(chk.s0 - gamma.offset, 0):], default=0) >= 0)
 
 
-@dataclass(frozen=True)
-class NecessaryCheck:
-    ok: bool
-    s0: int | None
-    failure: str | None = None
+class NecessaryCheck(_Frozen):
+    __slots__ = ("ok", "s0", "failure")
+
+    def __init__(self, ok: bool, s0: int | None, failure: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "failure", failure)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -209,17 +209,21 @@ def postulation_values(gamma: IntFun, m_dim: int, n: int) -> int:
 # -- numeric invariants ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
-    d: int
-    g: int
+class CurveInvariants(_Frozen):
+    __slots__ = ("d", "g")
+
+    def __init__(self, d: int, g: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    d: int
-    delta: int
-    p_a: int
+class SurfaceInvariants(_Frozen):
+    __slots__ = ("d", "delta", "p_a")
+
+    def __init__(self, d: int, delta: int, p_a: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "p_a", p_a)
 
 
 def curve_invariants(gamma: IntFun) -> CurveInvariants:
@@ -241,6 +245,7 @@ def surface_invariants(gamma: IntFun) -> SurfaceInvariants:
 def hilbert_polynomial(gamma: IntFun, m_dim: int) -> tuple[Fraction, ...]:
     """Exact rational coefficients (constant term first) of the Hilbert
     polynomial P(n) = -sum_k (n-k+M+1)...(n-k+1)/(M+1)! gamma(k)."""
+    from fractions import Fraction  # only here, so that no verb imports it
     if m_dim < 0:
         raise ValueError("dimension must be >= 0")
     deg = m_dim + 1

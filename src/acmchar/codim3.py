@@ -4,8 +4,6 @@ the quadric-case characterizations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import (
     _checked_s0,
     _s1,
@@ -17,13 +15,14 @@ from .characters import (
     is_positive_character,
 )
 from .growth import MacaulayFn, _Layered, decompose
-from .intfun import IntFun
+from .intfun import IntFun, _Frozen
 
 
-@dataclass(frozen=True)
 class Codim3Decomposition(_Layered):
     """Positive characters gamma_0, ..., gamma_r with
     gamma = gamma_0 + gamma_1[-1] + ... + gamma_r[-r]."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         for i, p in enumerate(self.parts):
@@ -96,11 +95,13 @@ def integral_screen(gamma: IntFun) -> bool:
     return all(v >= min(0, n - s0 - s1 + 1) for n, v in gamma.support() if n >= s1)
 
 
-@dataclass(frozen=True)
-class QuadricCheck:
-    valid: bool
-    t: int
-    s: int
+class QuadricCheck(_Frozen):
+    __slots__ = ("valid", "t", "s")
+
+    def __init__(self, valid: bool, t: int, s: int):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
 
     def __bool__(self) -> bool:
         return self.valid

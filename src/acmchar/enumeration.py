@@ -4,12 +4,11 @@ codimension-3 ACM curve characters up to a degree bound, with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import starmap
 
 from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
-from .intfun import IntFun
+from .intfun import IntFun, _Frozen
 
 # (degree, genus) pairs classically listed for nondegenerate ACM curves of
 # degree <= 10; the enumerator reports anything extra separately.
@@ -95,16 +94,21 @@ def _part_json(p: IntFun) -> str:
     return f'{{"offset": {p.offset}, "values": [{", ".join(map(str, p.values))}]}}'
 
 
-@dataclass(frozen=True)
-class DGEntry:
-    d: int
-    g: int
-    witnesses: tuple[Codim3Decomposition, ...]
+class DGEntry(_Frozen):
+    __slots__ = ("d", "g", "witnesses")
+
+    def __init__(self, d: int, g: int,
+                 witnesses: tuple[Codim3Decomposition, ...]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
-@dataclass(frozen=True)
-class DGTable:
-    entries: tuple[DGEntry, ...]
+class DGTable(_Frozen):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[DGEntry, ...]):
+        object.__setattr__(self, "entries", entries)
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(e.d, e.g) for e in self.entries]
@@ -129,7 +133,7 @@ class DGTable:
     def write_json(self, out) -> None:
         """Write json.dumps(self.to_json(), sort_keys=True) and a newline."""
         listed, beyond = self.split()
-        # keyed by id(p): an int key skips the dataclass __hash__ an IntFun
+        # keyed by id(p): an int key skips the field-tuple __hash__ an IntFun
         # key runs per lookup, and self holds every part, so no id is reused
         memo: dict[int, str] = {}
         part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))

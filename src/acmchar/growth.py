@@ -8,13 +8,12 @@ into type-(a-1) layers shifted against each other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, count
 from math import comb
 import operator
 
 from .binomial import upper
-from .intfun import IntFun
+from .intfun import IntFun, _Frozen
 
 
 def is_macaulay(h: IntFun) -> bool:
@@ -27,15 +26,15 @@ def is_macaulay(h: IntFun) -> bool:
     return all(map(operator.le, v[2:], map(upper, v[1:], count(1))))
 
 
-@dataclass(frozen=True)
-class MacaulayFn:
+class MacaulayFn(_Frozen):
     """A validated finitely supported Macaulay function."""
 
-    h: IntFun
+    __slots__ = ("h",)
 
-    def __post_init__(self):
-        if not is_macaulay(self.h):
-            raise ValueError(f"not a Macaulay function: {self.h}")
+    def __init__(self, h: IntFun):
+        if not is_macaulay(h):
+            raise ValueError(f"not a Macaulay function: {h}")
+        object.__setattr__(self, "h", h)
 
     @property
     def type_a(self) -> int:
@@ -96,12 +95,14 @@ def lex_oracle(h: IntFun) -> bool:
 # -- decomposition --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Layered:
+class _Layered(_Frozen):
     """Shared shape of both decompositions: parts p_0, ..., p_r that
     recompose as p_0 + p_1[-1] + ... + p_r[-r]."""
 
-    parts: tuple[IntFun, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[IntFun, ...]):
+        object.__setattr__(self, "parts", parts)
 
     @property
     def r(self) -> int:
@@ -119,9 +120,10 @@ class _Layered:
         return total
 
 
-@dataclass(frozen=True)
 class Decomposition(_Layered):
     """Layers h_0, ..., h_r with h = h_0 + h_1[-1] + ... + h_r[-r]."""
+
+    __slots__ = ()
 
     def validate(self, type_a: int) -> None:
         """Check all structural invariants for a decomposition of a

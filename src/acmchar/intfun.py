@@ -7,7 +7,6 @@ and instances can be used as dict keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 import operator
 
@@ -30,17 +29,52 @@ class ConstantTailError(ValueError):
         self.tail = tail
 
 
-@dataclass(frozen=True)
-class IntFun:
-    offset: int = 0
-    values: tuple[int, ...] = field(default=())
+class _Frozen:
+    """Base of the package's immutable records.  A record's fields are the
+    __slots__ along its class chain, in order, and its __init__ stores each
+    with object.__setattr__.  Records compare (within one class), hash,
+    print and pickle by their fields, as frozen dataclasses do."""
 
-    def __post_init__(self):
-        vals = tuple(self.values)
-        off = self.offset
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for c in reversed(cls.__mro__)
+                            for f in vars(c).get("__slots__", ()))
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked __setattr__
+        return type(self), self._astuple()
+
+
+class IntFun(_Frozen):
+    __slots__ = ("offset", "values")
+
+    def __init__(self, offset: int = 0, values: tuple[int, ...] = ()):
+        vals = tuple(values)
         # exact type test: floats, bools and strings are rejected, not coerced
-        if not {type(off), *map(type, vals)} <= {int}:
-            bad = next(x for x in (off, *vals) if type(x) is not int)
+        if not {type(offset), *map(type, vals)} <= {int}:
+            bad = next(x for x in (offset, *vals) if type(x) is not int)
             raise TypeError(f"not an integer: {_quote(bad)}")
         # strip leading zeros, shifting the offset
         start = 0
@@ -50,10 +84,10 @@ class IntFun:
         while end > start and vals[end - 1] == 0:
             end -= 1
         if start == end:
-            off, vals = 0, ()
+            offset, vals = 0, ()
         else:
-            off, vals = off + start, vals[start:end]
-        object.__setattr__(self, "offset", off)
+            offset, vals = offset + start, vals[start:end]
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "values", vals)
 
     # -- basic queries ----------------------------------------------------

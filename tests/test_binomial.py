@@ -135,6 +135,17 @@ class TestUpper:
         assert type(upper(2, 1)) is int
         assert upper(2, 1) == 3
 
+    @pytest.mark.parametrize("call, alpha, i", [
+        (upper, -1.5, 2), (upper, -2, 1.0), (upper, -2, -1.0),
+        (macaulay_expand, -2.5, 1), (macaulay_expand, 0.0, 1),
+        (macaulay_expand, -1, 0.5),
+    ])
+    def test_checks_the_type_before_the_sign(self, call, alpha, i):
+        """A negative float is refused as a non-integer, as a positive
+        one is, not by the sign checks."""
+        with pytest.raises(TypeError, match="not an integer"):
+            call(alpha, i)
+
     def test_small_values(self):
         # row h(n) -> max h(n+1) at n = 1 is a*(a+1)/2
         for a in range(1, 10):

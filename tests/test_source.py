@@ -1,5 +1,7 @@
 """Source-level rules for the package: no asserts, stdlib-only, exact."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -151,3 +153,17 @@ def test_module_level_caches_have_measured_traffic():
              for cached in _process_caches(ast.parse(path.read_text()),
                                            path.name)}
     assert found == {"binomial.py:upper"}
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    """Every CLI call starts a fresh process, so what ``import acmchar.cli``
+    pulls in is paid on each call: the records need no ``dataclasses``
+    (which loads ``inspect``), and ``fractions`` is imported only by
+    ``hilbert_polynomial``, which no verb calls."""
+    code = ("import sys; before = set(sys.modules); import acmchar.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(acmchar.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "acmchar.cli" in out
+    assert {"dataclasses", "inspect", "fractions"}.isdisjoint(out)
