@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .intfun import _Frozen
+from .intfun import _Frozen, _quote
 
 # an expansion can have min(alpha, i) terms; macaulay_expand refuses past this
 MAX_EXPANSION_TERMS = 10**5
@@ -35,7 +35,7 @@ class MacaulayExpansion(_Frozen):
         terms = tuple((m, k) for m, k in terms)
         bad = [x for t in terms for x in t if type(x) is not int]
         if bad:
-            raise TypeError(f"not an integer: {bad[0]!r}")
+            raise TypeError(f"not an integer: {_quote(bad[0])}")
         object.__setattr__(self, "terms", terms)
         self.validate()
 
@@ -87,7 +87,7 @@ def _greedy(alpha: int, i: int, least: int) -> tuple[list[tuple[int, int]], int]
     before signs, so a negative float is refused as a non-integer too."""
     bad = [x for x in (alpha, i) if type(x) is not int]
     if bad:
-        raise TypeError(f"not an integer: {bad[0]!r}")
+        raise TypeError(f"not an integer: {_quote(bad[0])}")
     if alpha < least:
         raise ValueError(f"alpha must be >= {least}")
     if i <= 0:

@@ -122,8 +122,11 @@ def _s1(gamma: IntFun, c: int, s0: int) -> int:
     # stops by sup: gamma is -C(n+c-2, c-2) below s0, so were it at or below
     # the bound on [s0, sup] too, it would sum to at most
     # C(sup-s0+c-1, c-1) - C(sup+c-1, c-1), which is < 0 for s0 >= 1; for
-    # s0 = 0 the bound is 0, and a nonzero sum-zero gamma exceeds 0 somewhere
-    for n, v in enumerate(gamma.window(s0, gamma.sup() + 1), s0):
+    # s0 = 0 the bound is 0, and a nonzero sum-zero gamma exceeds 0 somewhere.
+    # An offset above s0 means gamma(0) = 0, so s0 = 0 and the zeros below
+    # the offset meet the bound: the scan starts at the offset
+    lo = max(s0, gamma.offset)
+    for n, v in enumerate(gamma.window(lo, gamma.sup() + 1), lo):
         if v > math.comb(n - s0 + c - 2, c - 2) - math.comb(n + c - 2, c - 2):
             return n
 

@@ -36,16 +36,12 @@ class Codim3Decomposition(_Layered):
 def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
     """Split a codim-3 postulation character into positive components.
 
-    The h-vector layers of ``growth.decompose`` map through
-    ``gamma_from_h`` to the components; degenerate characters (h-vector of
-    type <= 2) are returned whole with r = 0.
+    Checks only the defining condition: gamma = -diff(h) for an O-sequence
+    h of type <= 3 (``check_necessary`` follows from it).  The h-vector
+    layers of ``growth.decompose`` map through ``gamma_from_h`` to the
+    components; degenerate characters (h-vector of type <= 2) are returned
+    whole with r = 0.
     """
-    _checked_s0(gamma, 3)
-    return _decompose_checked(gamma)
-
-
-def _decompose_checked(gamma: IntFun) -> Codim3Decomposition:
-    """:func:`decompose_codim3` for a gamma that passed check_necessary."""
     try:
         h = h_from_gamma(gamma)
     except ValueError as exc:
@@ -55,6 +51,9 @@ def _decompose_checked(gamma: IntFun) -> Codim3Decomposition:
     except ValueError as exc:
         raise ValueError(
             "not a codim-3 ACM character: h-vector violates growth") from exc
+    if mf.type_a > 3:
+        raise ValueError(
+            f"not a codim-3 ACM character: h-vector of type {mf.type_a}")
     if mf.type_a <= 2:
         return Codim3Decomposition((gamma,))
     return Codim3Decomposition(tuple(gamma_from_h(p) for p in decompose(mf).parts))
@@ -116,7 +115,7 @@ def quadric_check(gamma: IntFun) -> QuadricCheck:
         raise ValueError("quadric check needs a codim-3 character with s0 = 2")
     t = next(t for t, v in enumerate(gamma.window(2), 1) if v != -2)
     try:
-        dec = _decompose_checked(gamma)
+        dec = decompose_codim3(gamma)
     except ValueError:
         return QuadricCheck(False, t, -1)
     return QuadricCheck(True, t, char_s0(dec.parts[0]))

@@ -113,14 +113,14 @@ class DGTable(_Frozen):
     def pairs(self) -> list[tuple[int, int]]:
         return [(e.d, e.g) for e in self.entries]
 
-    def split(self, reference=REFERENCE_PAIRS_DEG10,
-              reference_max_degree: int = REFERENCE_MAX_DEGREE):
+    def split(self):
         """Partition entries into (listed, beyond): an entry is 'beyond'
         when its degree is covered by the reference list but its pair is
         missing from it."""
         listed, beyond = [], []
         for e in self.entries:
-            missing = e.d <= reference_max_degree and (e.d, e.g) not in reference
+            missing = (e.d <= REFERENCE_MAX_DEGREE
+                       and (e.d, e.g) not in REFERENCE_PAIRS_DEG10)
             (beyond if missing else listed).append(e)
         return listed, beyond
 

@@ -13,7 +13,7 @@ from math import comb
 import operator
 
 from .binomial import upper
-from .intfun import IntFun, _Frozen
+from .intfun import IntFun, _Frozen, _quote
 
 
 def is_macaulay(h: IntFun) -> bool:
@@ -33,7 +33,7 @@ class MacaulayFn(_Frozen):
 
     def __init__(self, h: IntFun):
         if not is_macaulay(h):
-            raise ValueError(f"not a Macaulay function: {h}")
+            raise ValueError(f"not a Macaulay function: {_quote(str(h))}")
         object.__setattr__(self, "h", h)
 
     @property
@@ -44,15 +44,14 @@ class MacaulayFn(_Frozen):
         return self.h(n)
 
 
-def s0_of(h: IntFun | MacaulayFn) -> int:
+def s0_of(h: IntFun) -> int:
     """Least n with h(n) < C(a+n-1, n), a = h(1).  Always finite (> 1) for
     finitely supported input of type a >= 1."""
-    f = h.h if isinstance(h, MacaulayFn) else h
-    a = next(f.window(1))
+    a = next(h.window(1))
     if a < 1:
         raise ValueError("s0 is undefined for functions of type 0")
     # every bound C(a+n-1, n) is >= 1, so the scan stops by sup + 1
-    return next(n for n, v in enumerate(f.window(0)) if v < comb(a + n - 1, n))
+    return next(n for n, v in enumerate(h.window(0)) if v < comb(a + n - 1, n))
 
 
 # -- lex-segment oracle ---------------------------------------------------

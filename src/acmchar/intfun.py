@@ -194,10 +194,6 @@ class IntFun(_Frozen):
         return cls(obj["offset"], tuple(obj["values"]))
 
     @classmethod
-    def from_values(cls, *values: int, offset: int = 0) -> "IntFun":
-        return cls(offset, tuple(values))
-
-    @classmethod
     def parse(cls, text: str) -> "IntFun":
         """Parse the compact positional form "(v0,v1,...)", whose window
         starts at 0, or "(v0,v1,...)@n", whose window starts at n."""

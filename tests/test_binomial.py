@@ -104,10 +104,12 @@ class TestExpansion:
         ((6.9, 3), (3.5, 2), (2, True)),
         ((6, 3), (3, 2), (2, True)),
         (("6", 3),),
+        (("9" * 100000, 2),),
     ])
     def test_non_integer_terms_rejected(self, terms):
-        with pytest.raises(TypeError, match="not an integer"):
+        with pytest.raises(TypeError, match="not an integer") as info:
             MacaulayExpansion(terms)
+        assert len(str(info.value)) < 100  # a long value is quoted briefly
 
 
 class TestUpper:
@@ -145,6 +147,14 @@ class TestUpper:
         one is, not by the sign checks."""
         with pytest.raises(TypeError, match="not an integer"):
             call(alpha, i)
+
+    @pytest.mark.parametrize("call", [upper, macaulay_expand])
+    @pytest.mark.parametrize("alpha, i", [("9" * 100000, 2), (5, "9" * 100000)],
+                             ids=["long-alpha", "long-index"])
+    def test_long_non_integer_is_quoted_briefly(self, call, alpha, i):
+        with pytest.raises(TypeError, match="not an integer") as info:
+            call(alpha, i)
+        assert len(str(info.value)) < 100
 
     def test_small_values(self):
         # row h(n) -> max h(n+1) at n = 1 is a*(a+1)/2

@@ -141,11 +141,16 @@ class TestAnalysisVerbs:
         assert doc["s1_from_decomposition"] == 2
         assert doc["bounds_ok"] and doc["integral_screen"]
 
-    def test_analyze_codim3_checks_the_character_three_times(
+    def test_analyze_codim3_checks_the_character_twice(
             self, capture, necessary_calls):
+        """Once in s1_general and once in integral_screen."""
         code, _, _ = capture("analyze-codim3", "(-1,-2,-1,4)")
         assert code == 0
-        assert 1 <= len(necessary_calls) <= 3
+        assert len(necessary_calls) == 2
+
+    def test_decompose_codim3_makes_no_separate_check(self, necessary_calls):
+        assert acmchar.decompose_codim3(IntFun(0, (-1, -2, -1, 4))).r == 1
+        assert necessary_calls == []
 
     def test_integral_screen_checks_the_character_once(self, necessary_calls):
         assert acmchar.integral_screen(IntFun(0, (-1, -2, -1, 4)))
@@ -160,6 +165,11 @@ class TestAnalysisVerbs:
     def test_analyze_rejects_bad_character(self, capture):
         code, _, err = capture("analyze-codim3", "(-1,1,-1,1)")
         assert code == 1 and "not a codim-3" in err
+
+    def test_analyze_names_the_type_of_the_h_vector(self, capture):
+        code, _, err = capture("analyze-codim3", "(-1,-3,4)")
+        assert code == 1
+        assert err == "error: not a codim-3 ACM character: h-vector of type 4"
 
     def test_quadric_check(self, capture):
         code, out, _ = capture("quadric-check", "(-1,-2,-1,4)")
@@ -270,6 +280,14 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert (code, out.out) == (2, "")
         assert out.err.startswith("error: ") and len(out.err.encode()) < 200
+
+    def test_long_non_macaulay_function_is_quoted_briefly(self, capsys):
+        literal = "(1,3,7" + ",1" * 100000 + ")"
+        code = run(["decompose", literal])
+        out = capsys.readouterr()
+        assert (code, out.out) == (1, "")
+        assert out.err.startswith("error: not a Macaulay function: ")
+        assert len(out.err.encode()) < 200
 
 
 class TestBoundedVerbs:

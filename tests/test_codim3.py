@@ -24,7 +24,7 @@ from acmchar import (
     s1_via_cor37,
 )
 
-from helpers import macaulay_functions
+from helpers import macaulay_functions, small_characters
 
 
 def F(*vals):
@@ -53,6 +53,40 @@ class TestDecomposeCodim3:
             decompose_codim3(F(-1, 2))  # sum nonzero
         with pytest.raises(ValueError):
             decompose_codim3(F(-1, -4, 5))  # too negative at s0
+
+    @pytest.mark.parametrize("literal, reason", [
+        ("(0)", "h-vector violates growth"),
+        ("(-1,2)", "non-character input: constant tail 1"),
+        ("(-1,-3,4)", "h-vector of type 4"),
+        ("(-1,-2,-4,7)", "h-vector violates growth"),
+        ("(-1,0,1)@-1", "character does not vanish in negative degrees"),
+        ("(1,-1)", "not an h-vector: negative value"),
+        ("(-1,1,-1,1)", "h-vector violates growth"),
+    ])
+    def test_reason_comes_from_the_h_vector(self, literal, reason):
+        with pytest.raises(ValueError) as info:
+            decompose_codim3(IntFun.parse(literal))
+        assert str(info.value) == f"not a codim-3 ACM character: {reason}"
+
+    def test_accepts_exactly_the_checked_o_sequence_characters(self):
+        """The defining condition alone decides: decompose_codim3 succeeds
+        iff gamma passes check_necessary and h_from_gamma(gamma) is an
+        O-sequence, on every function of small_characters(7, 2), checked
+        or not."""
+        accepted = 0
+        for gamma in small_characters(7, 2):
+            try:
+                want = bool(check_necessary(gamma, 3)) and is_macaulay(h_from_gamma(gamma))
+            except ValueError:
+                want = False
+            try:
+                dec = decompose_codim3(gamma)
+            except ValueError:
+                assert not want, gamma
+                continue
+            assert want and dec.recompose() == gamma, gamma
+            accepted += 1
+        assert accepted == 286
 
     def test_rejects_growth_violation(self):
         # h-vector (1, 3, 7) grows too fast

@@ -3,6 +3,7 @@ oracles in ``helpers``: growth, s0/s1, the interval bounds and the
 integrality screen, on functions with negative, zero and positive
 offsets, on the zero function and on tampered decompositions."""
 from functools import lru_cache
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +164,15 @@ class TestScans:
         assert check_necessary(gamma, 3).s0 == 0
         assert s1_general(gamma, 3) == s1_pointwise(gamma, 3, 0) == 2
         assert integral_screen(gamma) == integral_screen_pointwise(gamma)
+
+    @pytest.mark.parametrize("screen", [lambda g: s1_general(g, 3), integral_screen],
+                             ids=["s1_general", "integral_screen"])
+    def test_scans_start_at_a_far_offset(self, screen):
+        """The zeros between 0 and a far offset are not walked."""
+        gamma = IntFun(10**7, (-1, 1))
+        start = time.perf_counter()
+        screen(gamma)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIntervalBounds:
