@@ -30,9 +30,9 @@ def h_from_gamma(gamma: IntFun) -> IntFun:
     Requires gamma to vanish in negative degrees and all prefix sums to be
     <= 0 (so the h-vector is nonnegative).
     """
-    if not gamma.is_zero() and gamma.inf() < 0:
+    if gamma.offset < 0:  # the zero function is stored at offset 0
         raise ValueError("character does not vanish in negative degrees")
-    if gamma.total():
+    if sum(gamma.values):
         raise ConstantTailError(gamma.total())
     h = tuple(accumulate(map(operator.neg, gamma.values)))
     if min(h, default=0) < 0:
@@ -45,17 +45,19 @@ def h_from_gamma(gamma: IntFun) -> IntFun:
 
 def char_s0(gamma: IntFun) -> int:
     """Least n >= 0 with gamma(n) != -1."""
-    for n, v in enumerate(gamma.window(0)):
-        if v != -1:
+    off = gamma.offset
+    v = gamma.values[-off:] if off <= 0 else ()  # the values from degree 0 on
+    for n, x in enumerate(v):
+        if x != -1:
             return n
+    return len(v)
 
 
 def is_positive_character(gamma: IntFun) -> bool:
-    """True iff gamma passes :func:`check_necessary` in codim 2 with
-    s0 >= 1 and is nonnegative from s0 on."""
+    """True iff gamma passes :func:`check_necessary` in codim 2 and is
+    nonnegative from s0 on."""
     chk = check_necessary(gamma, 2)
-    return (chk.ok and chk.s0 >= 1
-            and min(gamma.values[max(chk.s0 - gamma.offset, 0):], default=0) >= 0)
+    return chk.ok and min(gamma.values[chk.s0:], default=0) >= 0
 
 
 class NecessaryCheck(_Frozen):
@@ -76,22 +78,29 @@ def check_necessary(gamma: IntFun, codim: int) -> NecessaryCheck:
 
     The character must sum to zero, vanish in negative degrees, equal
     -C(n+c-2, c-2) below s0 and exceed -C(s0+c-2, c-2) at s0 (c = codim).
+    Every nonempty subscheme has gamma(0) = -1, so s0 >= 1, and an accepted
+    gamma is stored from degree 0.
     """
     if codim < 1:
         raise ValueError("codim must be >= 1")
-    c = codim
-    if not gamma.is_character():
+    v = gamma.values
+    if sum(v):
         return NecessaryCheck(False, None, "values do not sum to zero")
-    if gamma.is_zero():
+    if not v:
         return NecessaryCheck(False, None, "zero function")
-    if gamma.inf() < 0:
+    if gamma.offset < 0:
         return NecessaryCheck(False, None, "nonzero value in negative degree")
-    # stops by sup + 1: there gamma is 0 and the generic value is <= -1
-    # for c >= 2, and for c = 1 it is 0 from n = 1 on while gamma(sup) != 0
-    for s0, v in enumerate(gamma.window(0)):
-        if v != -binom(s0 + c - 2, c - 2):
-            break
-    if v <= -binom(s0 + c - 2, c - 2):
+    if gamma.offset or v[0] != -1:
+        return NecessaryCheck(False, 0, "value at degree 0 is not -1")
+    # the scan stops by len(v) = sup + 1: there gamma is 0 and the generic
+    # value is <= -1 for c >= 2, and for c = 1 it is C(n-1, -1) = 0 from
+    # n = 1 on while gamma(sup) != 0
+    k, s0, x, g = codim - 2, 0, -1, -1
+    while x == g:
+        s0 += 1
+        x = v[s0] if s0 < len(v) else 0
+        g = -math.comb(s0 + k, k) if k >= 0 else 0
+    if x <= g:
         return NecessaryCheck(False, s0, f"value at s0={s0} too negative")
     return NecessaryCheck(True, s0)
 
@@ -119,14 +128,10 @@ def _checked_s0(gamma: IntFun, codim: int) -> int:
 
 def _s1(gamma: IntFun, c: int, s0: int) -> int:
     """The scan behind :func:`s1_general`, for a checked gamma with s0."""
-    # stops by sup: gamma is -C(n+c-2, c-2) below s0, so were it at or below
-    # the bound on [s0, sup] too, it would sum to at most
-    # C(sup-s0+c-1, c-1) - C(sup+c-1, c-1), which is < 0 for s0 >= 1; for
-    # s0 = 0 the bound is 0, and a nonzero sum-zero gamma exceeds 0 somewhere.
-    # An offset above s0 means gamma(0) = 0, so s0 = 0 and the zeros below
-    # the offset meet the bound: the scan starts at the offset
-    lo = max(s0, gamma.offset)
-    for n, v in enumerate(gamma.window(lo, gamma.sup() + 1), lo):
+    # stops by sup: gamma (stored from degree 0) is -C(n+c-2, c-2) below s0,
+    # so were it at or below the bound on [s0, sup] too, it would sum to at
+    # most C(sup-s0+c-1, c-1) - C(sup+c-1, c-1), which is < 0 as s0 >= 1
+    for n, v in enumerate(gamma.values[s0:], s0):
         if v > math.comb(n - s0 + c - 2, c - 2) - math.comb(n + c - 2, c - 2):
             return n
 

@@ -90,8 +90,10 @@ def integral_screen(gamma: IntFun) -> bool:
     for n >= s1."""
     s0 = _checked_s0(gamma, 3)
     s1 = _s1(gamma, 3, s0)
-    # no bound is > 0, so the zeros outside the stored values meet them all
-    return all(v >= min(0, n - s0 - s1 + 1) for n, v in gamma.support() if n >= s1)
+    t, v = s0 + s1 - 1, gamma.values  # from degree 0; s0 >= 1, so t >= s1
+    # the bound is n - t < 0 on [s1, t) and 0 from t on, where v may end
+    return (min(v[t:], default=0) >= 0
+            and all(x >= n - t for n, x in enumerate(v[s1:t], s1)))
 
 
 class QuadricCheck(_Frozen):

@@ -47,11 +47,16 @@ class MacaulayFn(_Frozen):
 def s0_of(h: IntFun) -> int:
     """Least n with h(n) < C(a+n-1, n), a = h(1).  Always finite (> 1) for
     finitely supported input of type a >= 1."""
-    a = next(h.window(1))
+    off = h.offset  # v: h from degree 0 on; empty past offset 1, where h(1) = 0
+    v = h.values[-off:] if off <= 0 else (0, *h.values) if off == 1 else ()
+    a = v[1] if len(v) > 1 else 0
     if a < 1:
         raise ValueError("s0 is undefined for functions of type 0")
     # every bound C(a+n-1, n) is >= 1, so the scan stops by sup + 1
-    return next(n for n, v in enumerate(h.window(0)) if v < comb(a + n - 1, n))
+    for n, x in enumerate(v):
+        if x < comb(a + n - 1, n):
+            return n
+    return len(v)
 
 
 # -- lex-segment oracle ---------------------------------------------------
@@ -127,19 +132,18 @@ class Decomposition(_Layered):
     def validate(self, type_a: int) -> None:
         """Check all structural invariants for a decomposition of a
         function of the given type."""
-        if self.r < 1:
+        r, want = self.r, type_a - 1
+        if r < 1:
             raise ValueError("decomposition needs at least two layers")
         for i, p in enumerate(self.parts):
             if not is_macaulay(p):
                 raise ValueError(f"layer {i} is not a Macaulay function")
-            want = type_a - 1
-            if i < self.r and p(1) != want:
+            if i < r and p(1) != want:
                 raise ValueError(f"layer {i} must have type {want}")
-            if i == self.r and p(1) > want:
+            if i == r and p(1) > want:
                 raise ValueError(f"last layer must have type <= {want}")
-        for i in range(1, self.r + 1):
-            bound = s0_of(self.parts[i - 1]) - 1
-            if self.parts[i].sup() >= bound:
+        for i in range(1, r + 1):
+            if self.parts[i].sup() >= s0_of(self.parts[i - 1]) - 1:
                 raise ValueError(f"layer {i} overlaps layer {i - 1}")
 
 
@@ -151,24 +155,20 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
     if a < 2:
         raise ValueError("decompose needs type >= 2 (see type12_shape)")
     parts: list[IntFun] = []
-    cur = mf.h
+    v = mf.h.values
     while True:
-        # no layer exceeds C(a+m-1, m), so cur(0) = 1 and v starts at degree 0
-        v = cur.values
+        # the remainder from degree 0; no layer exceeds C(a+m-1, m), so v[0] = 1
         low = []
         for x, g in zip(v, map(comb, count(a - 2), count())):  # C(a+m-2, m)
             if x < g:
                 break
             low.append(g)
-        h0 = IntFun(0, (*low, *v[len(low):]))
-        hprime = IntFun(-1, tuple(map(operator.sub, v, low)))  # (cur - h0).shift(1)
-        parts.append(h0)
-        if hprime(1) < a:
-            parts.append(hprime)
+        parts.append(IntFun(0, (*low, *v[len(low):])))
+        # (v - low).shift(1): low[0] = v[0], so each peel reduces the mass
+        v = tuple(map(operator.sub, v[1:], low[1:]))
+        if len(v) < 2 or v[1] < a:
+            parts.append(IntFun(0, v))
             break
-        # h0(0) = 1, so each peel strictly reduces the mass and the loop
-        # terminates
-        cur = hprime
     dec = Decomposition(tuple(parts))
     dec.validate(a)
     return dec

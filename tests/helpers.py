@@ -203,6 +203,8 @@ def necessary_pointwise(gamma, c):
         return False, None, "zero function"
     if gamma.inf() < 0:
         return False, None, "nonzero value in negative degree"
+    if gamma(0) != -1:
+        return False, 0, "value at degree 0 is not -1"
     s0 = 0
     while gamma(s0) == -binom(s0 + c - 2, c - 2):
         s0 += 1

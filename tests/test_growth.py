@@ -7,6 +7,7 @@ from acmchar import (
     IntFun,
     MacaulayFn,
     decompose,
+    h_from_gamma,
     is_macaulay,
     lex_oracle,
     s0_of,
@@ -136,6 +137,23 @@ class TestDecompose:
             dec = decompose(h)
             s0s = [s0_of(p) for p in dec.parts if p(1) >= 1]
             assert all(a > b for a, b in zip(s0s, s0s[1:]))
+
+    @pytest.mark.parametrize("gamma, layers", [((-1, -2, -3, 6), 3),
+                                               ((-1, -2, -3, -4, 10), 4)])
+    def test_builds_one_intfun_per_layer(self, monkeypatch, gamma, layers):
+        """The remainders between the layers are peeled as value tuples:
+        the only IntFuns built are the returned layers."""
+        h = h_from_gamma(F(*gamma))
+        built, init = [], IntFun.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(IntFun, "__init__", counted)
+        dec = decompose(h)
+        assert len(dec.parts) == layers
+        assert len(built) == layers
 
     def test_validate_flags_broken_layers(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
-"""The window scans of the analyze-codim3 path against the point-by-point
+"""The scans of the analyze-codim3 path against the point-by-point
 oracles in ``helpers``: growth, s0/s1, the interval bounds and the
 integrality screen, on functions with negative, zero and positive
-offsets, on the zero function and on tampered decompositions."""
+offsets (as far as 10**6 from degree 0), on the zero function and on
+tampered decompositions."""
 from functools import lru_cache
 import time
 
@@ -23,6 +24,7 @@ from acmchar import (
     h_from_gamma,
     integral_screen,
     is_macaulay,
+    is_positive_character,
     s0_of,
     s1_general,
 )
@@ -157,22 +159,78 @@ class TestScans:
     def test_integral_screen(self, gamma):
         same(integral_screen, integral_screen_pointwise, gamma)
 
-    def test_scans_see_passing_characters_off_degree_zero(self):
-        """A positive offset passes check_necessary with s0 = 0, so the
-        screens run on windows that do not start at 0."""
-        gamma = IntFun(2, (1, -2, 1))
-        assert check_necessary(gamma, 3).s0 == 0
-        assert s1_general(gamma, 3) == s1_pointwise(gamma, 3, 0) == 2
-        assert integral_screen(gamma) == integral_screen_pointwise(gamma)
+    def test_scans_refuse_characters_off_degree_zero(self):
+        """gamma(0) = -1 for every nonempty subscheme, so a sum-zero gamma
+        with another value at degree 0 fails the check there, and the
+        screens refuse it, as decompose_codim3 does."""
+        failure = "value at degree 0 is not -1"
+        message = f"^not a codim-3 ACM character: {failure}$"
+        for gamma in (IntFun(2, (1, -2, 1)), IntFun(0, (1, -1)),
+                      IntFun(0, (-2, 1, 1)), IntFun(1, (-1, 1))):
+            for c in (1, 2, 3, 4):
+                chk = check_necessary(gamma, c)
+                assert (chk.ok, chk.s0, chk.failure) == (False, 0, failure)
+            assert not is_positive_character(gamma)
+            for screen in (lambda g: s1_general(g, 3), integral_screen):
+                with pytest.raises(ValueError, match=message):
+                    screen(gamma)
+            with pytest.raises(ValueError):
+                decompose_codim3(gamma)
 
     @pytest.mark.parametrize("screen", [lambda g: s1_general(g, 3), integral_screen],
                              ids=["s1_general", "integral_screen"])
     def test_scans_start_at_a_far_offset(self, screen):
-        """The zeros between 0 and a far offset are not walked."""
+        """A character stored from a far offset is 0 at degree 0: it is
+        refused at once, without walking the zeros below its values."""
         gamma = IntFun(10**7, (-1, 1))
         start = time.perf_counter()
-        screen(gamma)
+        with pytest.raises(ValueError, match="value at degree 0 is not -1$"):
+            screen(gamma)
         assert time.perf_counter() - start < 1.0
+
+
+FAR_OFFSETS = (-10**6, -1, 1, 10**6)
+
+
+def at_far_offsets(*vals):
+    """vals stored from each far offset and, for a negative offset, also
+    from degree 0 on, behind a 7 stored at the offset."""
+    fs = [IntFun(off, vals) for off in FAR_OFFSETS]
+    return fs + [IntFun(off, (7,) + (0,) * (-off - 1) + vals)
+                 for off in FAR_OFFSETS if off < 0]
+
+
+def timed(f, *args):
+    """f(*args), which must return or raise within 1 s."""
+    start = time.perf_counter()
+    try:
+        return f(*args)
+    finally:
+        assert time.perf_counter() - start < 1.0
+
+
+class TestFarOffsets:
+    """The index arithmetic of the scans, next to degree 0 and far from
+    it, against the point-by-point oracles."""
+
+    VALUES = [(-1, -1, 2), (-1, -2, -3, 6), (-1,), (4, -1), (-1, -1, -1)]
+
+    @pytest.mark.parametrize("vals", VALUES)
+    def test_char_s0(self, vals):
+        for gamma in at_far_offsets(*vals):
+            assert timed(char_s0, gamma) == char_s0_pointwise(gamma)
+
+    @pytest.mark.parametrize("vals", VALUES + [(-1, -1, 1, 1), (-1, 1)])
+    def test_check_necessary(self, vals):
+        for gamma in at_far_offsets(*vals) + [IntFun(0, vals)]:
+            for c in (1, 2, 3, 4):
+                chk = timed(check_necessary, gamma, c)
+                assert (chk.ok, chk.s0, chk.failure) == necessary_pointwise(gamma, c)
+
+    @pytest.mark.parametrize("vals", [(1, 3, 6, 4), (1, 2, 3), (1,), (3, 1)])
+    def test_s0_of(self, vals):
+        for h in at_far_offsets(*vals):
+            same(lambda h: timed(s0_of, h), s0_of_pointwise, h)
 
 
 class TestIntervalBounds:
