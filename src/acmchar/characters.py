@@ -30,14 +30,19 @@ def h_from_gamma(gamma: IntFun) -> IntFun:
     Requires gamma to vanish in negative degrees and all prefix sums to be
     <= 0 (so the h-vector is nonnegative).
     """
+    return IntFun(gamma.offset, _h_values(gamma))
+
+
+def _h_values(gamma: IntFun) -> tuple[int, ...]:
+    """The values of :func:`h_from_gamma` from gamma's offset to its sup - 1."""
     if gamma.offset < 0:  # the zero function is stored at offset 0
         raise ValueError("character does not vanish in negative degrees")
     if sum(gamma.values):
         raise ConstantTailError(gamma.total())
-    h = tuple(accumulate(map(operator.neg, gamma.values)))
+    h = tuple(accumulate(map(operator.neg, gamma.values[:-1])))
     if min(h, default=0) < 0:
         raise ValueError("not an h-vector: negative value")
-    return IntFun(gamma.offset, h)
+    return h
 
 
 # -- positivity and s0/s1 -------------------------------------------------

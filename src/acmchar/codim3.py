@@ -4,18 +4,19 @@ the quadric-case characterizations.
 """
 from __future__ import annotations
 
+import operator
+
 from .characters import (
     _checked_s0,
+    _h_values,
     _s1,
     char_s0,
     check_necessary,
-    gamma_from_h,
-    h_from_gamma,
     hypersurface_char,
     is_positive_character,
 )
-from .growth import MacaulayFn, _Layered, decompose
-from .intfun import IntFun, _Frozen
+from .growth import _Layered, _is_o_sequence, _peel
+from .intfun import IntFun, _Frozen, _quote
 
 
 class Codim3Decomposition(_Layered):
@@ -37,32 +38,34 @@ def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
     """Split a codim-3 postulation character into positive components.
 
     Checks only the defining condition: gamma = -diff(h) for an O-sequence
-    h of type <= 3 (``check_necessary`` follows from it).  The h-vector
-    layers of ``growth.decompose`` map through ``gamma_from_h`` to the
-    components; degenerate characters (h-vector of type <= 2) are returned
-    whole with r = 0.
+    h of type <= 3 (``check_necessary`` follows from it).  h is peeled into
+    checked layers as value tuples, and each layer's -diff is a component;
+    degenerate characters (h-vector of type <= 2) are returned whole.
     """
     try:
-        h = h_from_gamma(gamma)
+        v = _h_values(gamma)
     except ValueError as exc:
         raise ValueError(f"not a codim-3 ACM character: {exc}") from exc
-    try:
-        mf = MacaulayFn(h)
-    except ValueError as exc:
-        raise ValueError(
-            "not a codim-3 ACM character: h-vector violates growth") from exc
-    if mf.type_a > 3:
-        raise ValueError(
-            f"not a codim-3 ACM character: h-vector of type {mf.type_a}")
-    if mf.type_a <= 2:
+    if gamma.offset or not _is_o_sequence(v):  # h(0) = 0 past offset 0
+        raise ValueError("not a codim-3 ACM character: h-vector violates growth")
+    a = v[1] if len(v) > 1 else 0
+    if a > 3:
+        raise ValueError(f"not a codim-3 ACM character: h-vector of type {a}")
+    if a <= 2:
         return Codim3Decomposition((gamma,))
-    return Codim3Decomposition(tuple(gamma_from_h(p) for p in decompose(mf).parts))
+    return Codim3Decomposition(tuple(  # each layer's -diff
+        IntFun(0, tuple(map(operator.sub, (0, *p), (*p, 0))))
+        for p in _peel(v, a)))
 
 
 def s1_via_cor37(dec: Codim3Decomposition, s0: int) -> int:
-    """s1 from the decomposition alone: s0(gamma_r) + s0 - 1."""
+    """s1 from the decomposition alone: s0(gamma_r) + s0 - 1, s0 = r + 1."""
     if dec.r < 1:
         raise ValueError("shortcut needs a nondegenerate decomposition")
+    if type(s0) is not int:
+        raise TypeError(f"not an integer: {_quote(s0)}")
+    if s0 != dec.s0:
+        raise ValueError(f"s0 must be {dec.s0} for this decomposition, not {s0}")
     return char_s0(dec.parts[-1]) + s0 - 1
 
 

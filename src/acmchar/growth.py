@@ -19,8 +19,12 @@ from .intfun import IntFun, _Frozen, _quote
 def is_macaulay(h: IntFun) -> bool:
     """True iff h is an O-sequence: h(0) = 1, values >= 0 and the Macaulay
     growth condition holds in every degree."""
-    v = h.values
-    if not v or h.offset != 0 or v[0] != 1 or min(v) < 0:
+    return h.offset == 0 and _is_o_sequence(h.values)
+
+
+def _is_o_sequence(v: tuple[int, ...]) -> bool:
+    """:func:`is_macaulay` on the values of a function from degree 0."""
+    if not v or v[0] != 1 or min(v) < 0:
         return False
     # h(n+1) <= h(n)^<n> for 1 <= n < sup; h(sup+1) = 0 meets every bound
     return all(map(operator.le, v[2:], map(upper, v[1:], count(1))))
@@ -47,8 +51,12 @@ class MacaulayFn(_Frozen):
 def s0_of(h: IntFun) -> int:
     """Least n with h(n) < C(a+n-1, n), a = h(1).  Always finite (> 1) for
     finitely supported input of type a >= 1."""
-    off = h.offset  # v: h from degree 0 on; empty past offset 1, where h(1) = 0
-    v = h.values[-off:] if off <= 0 else (0, *h.values) if off == 1 else ()
+    off = h.offset  # h from degree 0 on; empty past offset 1, where h(1) = 0
+    return _s0(h.values[-off:] if off <= 0 else (0, *h.values) if off == 1 else ())
+
+
+def _s0(v: tuple[int, ...]) -> int:
+    """:func:`s0_of` on the values of a function from degree 0."""
     a = v[1] if len(v) > 1 else 0
     if a < 1:
         raise ValueError("s0 is undefined for functions of type 0")
@@ -132,19 +140,26 @@ class Decomposition(_Layered):
     def validate(self, type_a: int) -> None:
         """Check all structural invariants for a decomposition of a
         function of the given type."""
-        r, want = self.r, type_a - 1
-        if r < 1:
-            raise ValueError("decomposition needs at least two layers")
-        for i, p in enumerate(self.parts):
-            if not is_macaulay(p):
-                raise ValueError(f"layer {i} is not a Macaulay function")
-            if i < r and p(1) != want:
-                raise ValueError(f"layer {i} must have type {want}")
-            if i == r and p(1) > want:
-                raise ValueError(f"last layer must have type <= {want}")
-        for i in range(1, r + 1):
-            if self.parts[i].sup() >= s0_of(self.parts[i - 1]) - 1:
-                raise ValueError(f"layer {i} overlaps layer {i - 1}")
+        # a layer off degree 0 is not an O-sequence, nor is ()
+        _check_layers([() if p.offset else p.values for p in self.parts], type_a)
+
+
+def _check_layers(layers: list[tuple[int, ...]], type_a: int) -> None:
+    """:meth:`Decomposition.validate` on the layers' values from degree 0."""
+    r, want = len(layers) - 1, type_a - 1
+    if r < 1:
+        raise ValueError("decomposition needs at least two layers")
+    for i, p in enumerate(layers):
+        if not _is_o_sequence(p):
+            raise ValueError(f"layer {i} is not a Macaulay function")
+        t = p[1] if len(p) > 1 else 0
+        if i < r and t != want:
+            raise ValueError(f"layer {i} must have type {want}")
+        if i == r and t > want:
+            raise ValueError(f"last layer must have type <= {want}")
+    for i in range(1, r + 1):  # a layer's sup is len - 1
+        if len(layers[i]) >= _s0(layers[i - 1]):
+            raise ValueError(f"layer {i} overlaps layer {i - 1}")
 
 
 def decompose(h: IntFun | MacaulayFn) -> Decomposition:
@@ -154,8 +169,12 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
     a = mf.type_a
     if a < 2:
         raise ValueError("decompose needs type >= 2 (see type12_shape)")
-    parts: list[IntFun] = []
-    v = mf.h.values
+    return Decomposition(tuple(IntFun(0, p) for p in _peel(mf.h.values, a)))
+
+
+def _peel(v: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
+    """The checked layers of the O-sequence v of type a >= 2, from degree 0."""
+    layers = []
     while True:
         # the remainder from degree 0; no layer exceeds C(a+m-1, m), so v[0] = 1
         low = []
@@ -163,15 +182,15 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
             if x < g:
                 break
             low.append(g)
-        parts.append(IntFun(0, (*low, *v[len(low):])))
+        layers.append((*low, *v[len(low):]))
         # (v - low).shift(1): low[0] = v[0], so each peel reduces the mass
         v = tuple(map(operator.sub, v[1:], low[1:]))
+        while not v[-1]:  # strip as IntFun does; v[0] = 1 stops it
+            v = v[:-1]
         if len(v) < 2 or v[1] < a:
-            parts.append(IntFun(0, v))
-            break
-    dec = Decomposition(tuple(parts))
-    dec.validate(a)
-    return dec
+            layers.append(v)
+            _check_layers(layers, a)
+            return layers
 
 
 # -- shape classification for small types ---------------------------------

@@ -8,11 +8,16 @@ from acmchar import (
     DGEntry,
     DGTable,
     IntFun,
+    MacaulayFn,
     binom,
     char_s0,
+    decompose,
     enumerate_positive_characters,
+    gamma_from_h,
+    h_from_gamma,
     is_macaulay,
     is_positive_character,
+    s0_of,
     surface_invariants,
     upper,
 )
@@ -256,6 +261,47 @@ def integral_screen_pointwise(gamma):
     s1 = s1_pointwise(gamma, 3, s0)
     top = max(gamma.sup(), s0 + s1)
     return all(gamma(n) >= min(0, n - s0 - s1 + 1) for n in range(s1, top + 1))
+
+
+def validate_stepwise(parts, type_a):
+    """Oracle for ``Decomposition.validate`` on IntFun layers, through
+    ``is_macaulay``, ``s0_of`` and the IntFun methods, check by check."""
+    r, want = len(parts) - 1, type_a - 1
+    if r < 1:
+        raise ValueError("decomposition needs at least two layers")
+    for i, p in enumerate(parts):
+        if not is_macaulay(p):
+            raise ValueError(f"layer {i} is not a Macaulay function")
+        if i < r and p(1) != want:
+            raise ValueError(f"layer {i} must have type {want}")
+        if i == r and p(1) > want:
+            raise ValueError(f"last layer must have type <= {want}")
+    for i in range(1, r + 1):
+        if parts[i].sup() >= s0_of(parts[i - 1]) - 1:
+            raise ValueError(f"layer {i} overlaps layer {i - 1}")
+
+
+def decompose_codim3_composed(gamma):
+    """Oracle for ``decompose_codim3``'s parts and errors, composed of the
+    public IntFun steps: h_from_gamma, MacaulayFn, decompose (its layers
+    checked again by ``validate_stepwise``) and gamma_from_h per layer."""
+    try:
+        h = h_from_gamma(gamma)
+    except ValueError as exc:
+        raise ValueError(f"not a codim-3 ACM character: {exc}") from exc
+    try:
+        mf = MacaulayFn(h)
+    except ValueError as exc:
+        raise ValueError(
+            "not a codim-3 ACM character: h-vector violates growth") from exc
+    if mf.type_a > 3:
+        raise ValueError(
+            f"not a codim-3 ACM character: h-vector of type {mf.type_a}")
+    if mf.type_a <= 2:
+        return (gamma,)
+    layers = decompose(mf).parts
+    validate_stepwise(layers, mf.type_a)
+    return tuple(map(gamma_from_h, layers))
 
 
 def eval_polynomial(coeffs, n):

@@ -24,6 +24,8 @@ from acmchar import (
     s1_via_cor37,
 )
 
+from acmchar import growth
+
 from helpers import macaulay_functions, small_characters
 
 
@@ -42,6 +44,41 @@ class TestDecomposeCodim3:
         dec = decompose_codim3(F(-1, -2, -3, 6))
         assert dec.r == 2
         assert dec.parts == (F(-1, -1, -1, 3), F(-1, -1, 2), F(-1, 1))
+
+    def test_peeled_remainder_loses_its_trailing_zero(self):
+        # h = (1, 3, 3) peels to (1, 2, 3) and (1, 0), stripped to (1)
+        dec = decompose_codim3(F(-1, -2, 0, 3))
+        assert dec.parts == (F(-1, -1, -1, 3), F(-1, 1))
+
+    @pytest.mark.parametrize("gamma, built", [((-1, -2, -1, 4), 2),
+                                              ((-1, -2, -3, 6), 3),
+                                              ((-1, -2, -3, -4, 10), 4),
+                                              ((-1, -1, 2), 0)])
+    def test_builds_one_intfun_per_component(self, monkeypatch, gamma, built):
+        """The h-vector and its layers stay value tuples: the only IntFuns
+        built are the r + 1 components, and none for a degenerate
+        character, which is returned as it came.  The layers still get
+        every check of ``Decomposition.validate``, once."""
+        gamma = F(*gamma)
+        calls, checked = [], []
+        init, check = IntFun.__init__, growth._check_layers
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        def counted_check(layers, type_a):
+            checked.append((tuple(layers), type_a))
+            check(layers, type_a)
+
+        monkeypatch.setattr(IntFun, "__init__", counted)
+        monkeypatch.setattr(growth, "_check_layers", counted_check)
+        dec = decompose_codim3(gamma)
+        assert len(calls) == built == (dec.r + 1 if dec.r else 0)
+        if built:
+            assert checked == [(tuple(h_from_gamma(p).values for p in dec.parts), 3)]
+        else:
+            assert dec.parts[0] is gamma and checked == []
 
     def test_degenerate_character_kept_whole(self):
         gamma = F(-1, -1, 2)  # h-vector of type 2
@@ -125,6 +162,23 @@ class TestS1Shortcut:
         with pytest.raises(ValueError):
             s1_via_cor37(dec, 2)
 
+    @pytest.mark.parametrize("s0", [2.5, 2.0, True, "2", None])
+    def test_refuses_a_non_integer_s0(self, s0):
+        dec = decompose_codim3(F(-1, -2, 0, 3))
+        with pytest.raises(TypeError) as info:
+            s1_via_cor37(dec, s0)
+        assert str(info.value) == f"not an integer: {s0!r}"
+
+    @pytest.mark.parametrize("s0", [7, 1, 3, 0, -2])
+    def test_refuses_an_s0_not_its_own(self, s0):
+        """s0 of a nondegenerate codim-3 character is r + 1 = dec.s0, so
+        any other s0 would make a wrong s1."""
+        dec = decompose_codim3(F(-1, -2, 0, 3))
+        assert (dec.s0, s1_via_cor37(dec, 2)) == (2, 2)
+        with pytest.raises(ValueError) as info:
+            s1_via_cor37(dec, s0)
+        assert str(info.value) == f"s0 must be 2 for this decomposition, not {s0}"
+
     def test_agrees_with_scan_on_universe(self):
         for h in macaulay_functions(3, 12):
             if h(1) != 3:
@@ -132,6 +186,7 @@ class TestS1Shortcut:
             gamma = gamma_from_h(h)
             dec = decompose_codim3(gamma)
             s0 = check_necessary(gamma, 3).s0
+            assert s0 == dec.s0
             assert s1_via_cor37(dec, s0) == s1_general(gamma, 3)
 
 

@@ -13,7 +13,7 @@ from acmchar import (
     s0_of,
     type12_shape,
 )
-from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2
+from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2, _peel
 
 from helpers import macaulay_functions
 
@@ -103,6 +103,13 @@ class TestDecompose:
         assert decompose(F(1, 3)).parts == (F(1, 2), F(1))
         assert decompose(F(1, 3, 4)).parts == (F(1, 2, 3), F(1, 1))
         assert decompose(F(1, 3, 6)).parts == (F(1, 2, 3), F(1, 2), F(1))
+        assert decompose(F(1, 3, 3)).parts == (F(1, 2, 3), F(1))
+
+    def test_peel_strips_its_remainders(self):
+        """The layers stay value tuples, canonical as IntFun stores them:
+        the remainder (1, 0) of h = (1, 3, 3) loses its zero."""
+        assert _peel((1, 3, 3), 3) == [(1, 2, 3), (1,)]
+        assert _peel((1, 3, 6, 4, 1), 3) == [(1, 2, 3, 4, 1), (1, 2), (1,)]
 
     def test_layer_shifts_recompose(self):
         dec = decompose(F(1, 3, 6))

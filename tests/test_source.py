@@ -89,8 +89,9 @@ def test_intfun_arithmetic_reads_windows():
 # the analyze-codim3 path: each scans its windows instead of evaluating
 # its IntFun arguments point by point
 WINDOW_SCANS = {
-    "growth.py": ("is_macaulay", "s0_of", "decompose"),
-    "characters.py": ("gamma_from_h", "h_from_gamma", "char_s0",
+    "growth.py": ("is_macaulay", "_is_o_sequence", "s0_of", "_s0", "decompose",
+                  "_peel", "_check_layers"),
+    "characters.py": ("gamma_from_h", "h_from_gamma", "_h_values", "char_s0",
                       "is_positive_character", "check_necessary", "_s1"),
     "codim3.py": ("check_prop36_bounds", "integral_screen", "quadric_check",
                   "integral_quadric_check"),
@@ -119,8 +120,10 @@ def test_window_scans_never_call_their_arguments():
 # the functions one analyze-codim3 query runs through: each indexes the
 # stored values instead of building IntFun.window generators
 INDEXED_SCANS = {
-    "characters.py": ("check_necessary", "char_s0", "_s1", "h_from_gamma"),
-    "growth.py": ("s0_of", "decompose"),
+    "characters.py": ("check_necessary", "char_s0", "_s1", "h_from_gamma",
+                      "_h_values"),
+    "growth.py": ("_is_o_sequence", "s0_of", "_s0", "decompose", "_peel",
+                  "_check_layers"),
     "codim3.py": ("integral_screen",),
 }
 
@@ -139,6 +142,19 @@ def test_analysis_path_builds_no_windows():
                       and node.func.attr == "window"]
     assert seen == {n for names in INDEXED_SCANS.values() for n in names}
     assert found == []
+
+
+def test_decompose_codim3_peels_value_tuples():
+    """``decompose_codim3`` reads h and its layers as value tuples: it
+    calls none of the steps that would build them as throwaway records
+    (``tests/helpers.py::decompose_codim3_composed`` composes them as an
+    oracle)."""
+    [f] = [f for f in _functions("codim3.py") if f.name == "decompose_codim3"]
+    called = {node.func.id for node in ast.walk(f)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"_h_values", "_is_o_sequence", "_peel"} <= called
+    assert called.isdisjoint({"h_from_gamma", "MacaulayFn", "decompose",
+                              "gamma_from_h"})
 
 
 _CACHES = ("cache", "lru_cache")

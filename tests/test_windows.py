@@ -1,9 +1,10 @@
 """The scans of the analyze-codim3 path against the point-by-point
-oracles in ``helpers``: growth, s0/s1, the interval bounds and the
-integrality screen, on functions with negative, zero and positive
-offsets (as far as 10**6 from degree 0), on the zero function and on
-tampered decompositions."""
+oracles in ``helpers``: growth, s0/s1, the layer peel and its checks,
+the interval bounds and the integrality screen, on functions with
+negative, zero and positive offsets (as far as 10**6 from degree 0), on
+the zero function and on tampered decompositions."""
 from functools import lru_cache
+import random
 import time
 
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 from acmchar import (
     Codim3Decomposition,
     ConstantTailError,
+    Decomposition,
     IntFun,
     binom,
     char_s0,
     check_necessary,
     check_prop36_bounds,
+    decompose,
     decompose_codim3,
     enumerate_acm_curves,
     enumerate_positive_characters,
@@ -32,6 +35,7 @@ from acmchar import (
 from helpers import (
     char_s0_pointwise,
     checked_s0_pointwise,
+    decompose_codim3_composed,
     integral_screen_pointwise,
     is_macaulay_pointwise,
     macaulay_functions,
@@ -39,6 +43,7 @@ from helpers import (
     prop36_pointwise,
     s0_of_pointwise,
     s1_pointwise,
+    validate_stepwise,
 )
 
 OFFSETS = st.integers(min_value=-4, max_value=4)
@@ -187,6 +192,93 @@ class TestScans:
         with pytest.raises(ValueError, match="value at degree 0 is not -1$"):
             screen(gamma)
         assert time.perf_counter() - start < 1.0
+
+
+def outcome(f, *args):
+    """f(*args), or the exact type and message of the ValueError or
+    TypeError it raises."""
+    try:
+        return f(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@lru_cache(maxsize=None)
+def _macaulay():
+    """Every Macaulay function of type 2 to 4 and mass <= 12."""
+    return tuple(h for a in (2, 3, 4) for h in macaulay_functions(a, 12)
+                 if h(1) == a)
+
+
+# near an O-sequence, stored at degree 0 or 1
+layers = st.builds(lambda off, tail: IntFun(off, (1, *tail)),
+                   st.sampled_from([0, 0, 1]),
+                   st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+
+
+@st.composite
+def tampered_layers(draw):
+    """The layers of a real decomposition, kept, with one moved to degree
+    1 or dropped, with a layer inserted (a drawn one, or one of its own or
+    of another decomposition's), or with two swapped; and a type near the
+    true one."""
+    h, other = draw(st.lists(st.sampled_from(_macaulay()), min_size=2, max_size=2))
+    parts = list(decompose(h).parts)
+    i, j = draw(st.lists(st.integers(min_value=0, max_value=len(parts) - 1),
+                         min_size=2, max_size=2))
+    mode = draw(st.sampled_from(["keep", "shift", "drop", "insert", "swap"]))
+    if mode == "shift":
+        parts[i] = parts[i].shift(-1)
+    elif mode == "drop":
+        del parts[i]
+    elif mode == "insert":
+        pool = parts + list(decompose(other).parts)
+        parts.insert(i, draw(st.one_of(layers, st.sampled_from(pool))))
+    elif mode == "swap":
+        parts[i], parts[j] = parts[j], parts[i]
+    return parts, h(1) + draw(st.sampled_from([-1, 0, 0, 0, 0, 1]))
+
+
+class TestPeel:
+    """decompose_codim3 peels value tuples; the composition of the public
+    IntFun steps in ``helpers`` gives the same parts or the same error."""
+
+    def test_decompose_codim3_to_degree_24(self):
+        """Every codim-3 character of degree <= 24, its shifts by +-1 and
+        two seeded one-unit moves of each."""
+        table = enumerate_acm_curves(24, nondegenerate=False)
+        chars = [w.recompose() for e in table.entries for w in e.witnesses]
+        rng = random.Random(18)
+        inputs = []
+        for gamma in chars:
+            inputs += [gamma, gamma.shift(1), gamma.shift(-1)]
+            for _ in range(2):
+                i, j = rng.sample(range(gamma.sup() + 2), 2)
+                inputs.append(gamma + IntFun(i, (1,)) - IntFun(j, (1,)))
+        accepted = 0
+        for gamma in inputs:
+            want = outcome(decompose_codim3_composed, gamma)
+            got = outcome(lambda g: decompose_codim3(g).parts, gamma)
+            assert got == want, gamma
+            accepted += type(want) is tuple and type(want[0]) is IntFun
+        assert len(chars) > 3000 and len(chars) < accepted < len(inputs)
+
+    @HYP
+    @given(gammas)
+    def test_decompose_codim3(self, gamma):
+        assert (outcome(lambda g: decompose_codim3(g).parts, gamma)
+                == outcome(decompose_codim3_composed, gamma))
+
+    @settings(HYP, max_examples=400)
+    @given(st.one_of(tampered_layers(),
+                     st.tuples(st.lists(layers, max_size=4),
+                               st.integers(min_value=0, max_value=4))))
+    def test_validate(self, case):
+        """The same checks in the same order: the first failure's message
+        is the same."""
+        parts, type_a = tuple(case[0]), case[1]
+        assert (outcome(Decomposition(parts).validate, type_a)
+                == outcome(validate_stepwise, parts, type_a))
 
 
 FAR_OFFSETS = (-10**6, -1, 1, 10**6)
