@@ -118,7 +118,8 @@ def quadric_check(gamma: IntFun) -> QuadricCheck:
     chk = check_necessary(gamma, 3)
     if not chk or chk.s0 != 2:
         raise ValueError("quadric check needs a codim-3 character with s0 = 2")
-    t = next(t for t, v in enumerate(gamma.window(2), 1) if v != -2)
+    # stored from degree 0 (gamma(0) = -1); the padding 0 ends the scan
+    t = next(t for t, x in enumerate((*gamma.values[2:], 0), 1) if x != -2)
     try:
         dec = decompose_codim3(gamma)
     except ValueError:
@@ -132,8 +133,9 @@ def integral_quadric_check(gamma: IntFun) -> bool:
     q = quadric_check(gamma)
     if not q.valid:
         raise ValueError("character fails the quadric shape test")
-    return (next(gamma.window(q.t + 1)) >= -1
-            and min(gamma.window(q.t + 2, gamma.sup() + 1), default=0) >= 0)
+    v = gamma.values  # from degree 0, as quadric_check passed
+    return (min(v[q.t + 1:q.t + 2], default=0) >= -1
+            and min(v[q.t + 2:], default=0) >= 0)
 
 
 def plane_union_char(d1: int, d2: int) -> IntFun:

@@ -4,8 +4,6 @@ codimension-3 ACM curve characters up to a degree bound, with
 """
 from __future__ import annotations
 
-from itertools import starmap
-
 from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
 from .intfun import IntFun, _Frozen
@@ -21,50 +19,40 @@ REFERENCE_PAIRS_DEG10 = frozenset({
 REFERENCE_MAX_DEGREE = 10
 
 
-def _partitions(total: int, parts: int, low: int, high: int):
-    """Non-increasing tuples of the given length with entries in
-    [low, high] summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total - low * (parts - 1), high), low - 1, -1):
-        if total - first > first * (parts - 1):
-            return  # the rest cannot fit below first, nor below a smaller one
-        for rest in _partitions(total - first, parts - 1, low, first):
-            yield (first,) + rest
+def _layer_lengths(d: int, high: int):
+    """Strictly decreasing tuples of positive parts <= high summing to d,
+    in descending order.  The h-vector of a positive character peels into
+    type-1 layers (1, ..., 1) of lengths l_0 > l_1 > ... > l_{s0-1} (layer
+    i from degree i on), so gamma has -1 at each i and +1 at each i + l_i:
+    these positions are its numerical character, and sup = l_0."""
+    if d == 0:
+        yield ()
+    for first in range(min(d, high), 0, -1):
+        if first * (first + 1) // 2 < d:
+            return  # distinct parts <= first sum to at most first (first + 1) / 2
+        for rest in _layer_lengths(d - first, first - 1):
+            yield (first, *rest)
 
 
-def _unit_positions(d: int, min_s0: int = 1, max_sup: int | None = None):
-    """(s0, positions) per positive character of degree d with s0 >= min_s0
-    and sup <= max_sup: -1 on [0, s0) plus units at p_1 >= ... >= p_s0 >= s0,
-    a partition of d + s0(s0-1)/2 into s0 parts >= s0, with sup = p_1 <= d."""
-    cap = d if max_sup is None else max_sup
-    s0 = max(min_s0, 1)
-    while s0 * (s0 + 1) // 2 <= d and s0 <= cap:
-        for positions in _partitions(d + s0 * (s0 - 1) // 2, s0, s0, cap):
-            yield s0, positions
-        s0 += 1
-
-
-def _character(s0: int, positions: tuple[int, ...]) -> IntFun:
-    """The positive character with parameter s0 and these unit positions."""
-    vals = [-1] * s0 + [0] * (positions[0] - s0 + 1)
-    for p in positions:
-        vals[p] += 1
+def _character(lengths: tuple[int, ...]) -> IntFun:
+    """The positive character whose h-vector has these layer lengths."""
+    vals = [0] * (lengths[0] + 1)
+    for i, l in enumerate(lengths):
+        vals[i] -= 1
+        vals[i + l] += 1
     return IntFun(0, tuple(vals))
 
 
 def _components(max_degree: int) -> list[tuple[IntFun, int, int, int, int]]:
     """(gamma, d_i, sup, s0, delta) per positive character of degree
-    d_i <= max_degree, in values order, read off its unit positions p:
-    sup = p_1 and delta = sum p (p - 4) - sum_{k<s0} (k^2 - 4k), where the
-    last sum is s0 (s0 - 1) (2 s0 - 13) / 6."""
+    d_i <= max_degree, in values order, read off its layer lengths l:
+    d_i = sum l, sup = l_0, s0 = len(l) and delta = sum_i l_i (l_i + 2i - 4),
+    the sum of (i + l_i)^2 - 4 (i + l_i) - (i^2 - 4i)."""
     table = []
     for d_i in range(1, max_degree + 1):
-        for s0, pos in _unit_positions(d_i):
-            delta = sum(p * (p - 4) for p in pos) - s0 * (s0 - 1) * (2 * s0 - 13) // 6
-            table.append((_character(s0, pos), d_i, pos[0], s0, delta))
+        for ls in _layer_lengths(d_i, d_i):
+            delta = sum(l * (l + 2 * i - 4) for i, l in enumerate(ls))
+            table.append((_character(ls), d_i, ls[0], len(ls), delta))
     return sorted(table, key=lambda c: c[0].values)
 
 
@@ -74,7 +62,9 @@ def enumerate_positive_characters(d: int, min_s0: int = 1,
     bounded by max_sup, sorted by (len(values), values)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return sorted(starmap(_character, _unit_positions(d, min_s0, max_sup)),
+    high = d if max_sup is None else max_sup
+    return sorted((_character(ls) for ls in _layer_lengths(d, high)
+                   if len(ls) >= min_s0),
                   key=lambda g: (len(g.values), g.values))
 
 

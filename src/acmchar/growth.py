@@ -140,6 +140,10 @@ class Decomposition(_Layered):
     def validate(self, type_a: int) -> None:
         """Check all structural invariants for a decomposition of a
         function of the given type."""
+        if type(type_a) is not int:
+            raise TypeError(f"not an integer: {_quote(type_a)}")
+        if type_a < 2:
+            raise ValueError("decomposition needs type >= 2")
         # a layer off degree 0 is not an O-sequence, nor is ()
         _check_layers([() if p.offset else p.values for p in self.parts], type_a)
 

@@ -7,7 +7,7 @@ and instances can be used as dict keys.
 """
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate
 import operator
 
 # largest offset that __str__ writes as leading zeros
@@ -126,14 +126,6 @@ class IntFun(_Frozen):
     def support(self):
         """Iterate over (n, f(n)) for the stored window."""
         return enumerate(self.values, self.offset)
-
-    def window(self, lo: int, hi: int | None = None):
-        """Iterate over f(lo), f(lo + 1), ..., f(hi - 1), or without end
-        when hi is None: the stored values, padded with zeros."""
-        i = lo - self.offset
-        vals = (chain(self.values[i:], repeat(0)) if i >= 0
-                else chain(repeat(0, -i), self.values, repeat(0)))
-        return vals if hi is None else islice(vals, max(hi - lo, 0))
 
     # -- calculus ---------------------------------------------------------
 

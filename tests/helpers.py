@@ -22,6 +22,7 @@ from acmchar import (
     upper,
 )
 from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2
+from acmchar.intfun import _quote
 
 
 def macaulay_functions(type_a, max_mass):
@@ -266,6 +267,10 @@ def integral_screen_pointwise(gamma):
 def validate_stepwise(parts, type_a):
     """Oracle for ``Decomposition.validate`` on IntFun layers, through
     ``is_macaulay``, ``s0_of`` and the IntFun methods, check by check."""
+    if type(type_a) is not int:
+        raise TypeError(f"not an integer: {_quote(type_a)}")
+    if type_a < 2:
+        raise ValueError("decomposition needs type >= 2")
     r, want = len(parts) - 1, type_a - 1
     if r < 1:
         raise ValueError("decomposition needs at least two layers")

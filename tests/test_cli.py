@@ -377,3 +377,19 @@ class TestGoldenOutput:
                 digest.update(json.dumps(
                     [argv + form, code, out.out, out.err]).encode())
         assert digest.hexdigest() == GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--max-degree", "24"],
+         "079c0330e567dbb9b37d20c09fe461bdb1a9d9a9cf0355db5c24cae0333c6e35"),
+        (["--max-degree", "32"],
+         "f959e8bfaaa71aef3c2707aff08f00fd27307356d40eb91f962165f2229aa388"),
+        (["--max-degree", "24", "--degenerate"],
+         "247bb4ff324435d4615ab2b4265d917747e56e600b5a46d393377ad1f76d18c6"),
+    ], ids=["d24", "d32", "d24-degenerate"])
+    def test_plain_enumerate_digest(self, capsys, argv, want):
+        """The human (d, g) table, recorded before its component table was
+        built from layer lengths."""
+        code = run(["enumerate", *argv])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert code == 0
+        assert digest == want

@@ -4,7 +4,7 @@ import gc
 import hashlib
 import io
 import json
-from itertools import combinations_with_replacement, product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from acmchar import (
     char_s0,
     curve_invariants,
     dg_from_components,
+    decompose,
     decompose_codim3,
     enumerate_acm_curves,
     enumerate_positive_characters,
@@ -28,7 +29,12 @@ from acmchar import (
     surface_invariants,
 )
 from acmchar.cli import run
-from acmchar.enumeration import _components, _part_json, _partitions
+from acmchar.enumeration import (
+    _character,
+    _components,
+    _layer_lengths,
+    _part_json,
+)
 
 from helpers import placed_positive_characters, walk_acm_curves
 
@@ -92,14 +98,31 @@ class TestPositiveCharacters:
             enumerate_positive_characters(0)
 
     def test_partitions_match_raw_search(self):
-        """The pruned generator lists every non-increasing tuple with
-        entries in [low, high] and the given sum, in descending order."""
-        for total, parts, low in product(range(13), range(5), range(4)):
-            for high in range(low - 1, total + 2):
-                every = [c[::-1] for c in combinations_with_replacement(
-                    range(low, high + 1), parts) if sum(c) == total]
-                got = list(_partitions(total, parts, low, high))
-                assert got == sorted(every, reverse=True), (total, parts, low, high)
+        """The pruned generator lists every partition of d into distinct
+        positive parts <= high, as decreasing tuples in descending order."""
+        for d in range(15):
+            for high in range(-1, d + 2):
+                every = [c[::-1] for k in range(d + 1)
+                         for c in combinations(range(1, high + 1), k)
+                         if sum(c) == d]
+                got = list(_layer_lengths(d, high))
+                assert got == sorted(every, reverse=True), (d, high)
+
+    def test_layer_lengths_are_the_peeled_h_vector(self):
+        """The h-vector of the character built from lengths l peels into
+        the type-1 layers (1,) * l_i; with one layer it is that layer."""
+        count = 0
+        for d in range(1, 25):
+            for ls in _layer_lengths(d, d):
+                h = h_from_gamma(_character(ls))
+                if len(ls) == 1:
+                    assert h == IntFun(0, (1,) * d), ls
+                else:
+                    assert decompose(h).parts == tuple(
+                        IntFun(0, (1,) * l) for l in ls), ls
+                count += 1
+        assert count == 761 == sum(len(enumerate_positive_characters(d))
+                                   for d in range(1, 25))
 
     def test_matches_unit_placements(self):
         """Every min_s0 and max_sup, against a raw placement of units."""

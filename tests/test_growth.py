@@ -170,6 +170,18 @@ class TestDecompose:
         with pytest.raises(ValueError):
             Decomposition((F(1, 2, 3),)).validate(3)  # single layer
 
+    @pytest.mark.parametrize("type_a", [3.0, True])
+    def test_validate_rejects_a_type_that_is_not_an_int(self, type_a):
+        with pytest.raises(TypeError, match=f"not an integer: {type_a!r}"):
+            Decomposition((F(1, 2, 3), F(1, 1))).validate(type_a)
+
+    @pytest.mark.parametrize("type_a", [0, 1])
+    def test_validate_needs_type_two(self, type_a):
+        """Checked before any layer, whose own checks would fail first."""
+        for parts in [(F(1, 2, 3), F(1, 1)), (F(1), F(1))]:
+            with pytest.raises(ValueError, match="decomposition needs type >= 2"):
+                Decomposition(parts).validate(type_a)
+
 
 class TestMinimalMass:
     def test_type_a_function_with_s0_s_has_mass_at_least_binom(self):

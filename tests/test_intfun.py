@@ -141,22 +141,6 @@ class TestCalculus:
         assert f.shift(d).shift(-d) == f
 
 
-class TestWindow:
-    @given(far_intfuns, st.integers(min_value=-10**6, max_value=10**6),
-           st.integers(min_value=-3, max_value=12))
-    def test_window_is_pointwise(self, f, lo, length):
-        for start in (lo, f.offset - 2, f.offset + len(f.values) - 1):
-            want = tuple(f(n) for n in range(start, start + length))
-            assert tuple(f.window(start, start + length)) == want
-            endless = f.window(start)
-            assert tuple(next(endless) for _ in range(max(length, 0))) == want
-
-    def test_window_pads_far_offsets_lazily(self):
-        f = IntFun(10**12, (1, -1))
-        assert next(f.window(0)) == 0
-        assert tuple(f.window(10**12 - 1, 10**12 + 3)) == (0, 1, -1, 0)
-
-
 class TestArithmetic:
     @given(intfuns, intfuns)
     def test_add_pointwise(self, f, g):

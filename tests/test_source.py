@@ -117,33 +117,6 @@ def test_window_scans_never_call_their_arguments():
     assert found == []
 
 
-# the functions one analyze-codim3 query runs through: each indexes the
-# stored values instead of building IntFun.window generators
-INDEXED_SCANS = {
-    "characters.py": ("check_necessary", "char_s0", "_s1", "h_from_gamma",
-                      "_h_values"),
-    "growth.py": ("_is_o_sequence", "s0_of", "_s0", "decompose", "_peel",
-                  "_check_layers"),
-    "codim3.py": ("integral_screen",),
-}
-
-
-def test_analysis_path_builds_no_windows():
-    """No function on the analyze-codim3 hot path calls ``.window(``."""
-    found, seen = [], set()
-    for file_name, names in INDEXED_SCANS.items():
-        for f in _functions(file_name):
-            if f.name not in names:
-                continue
-            seen.add(f.name)
-            found += [f"{f.name}:{node.lineno}" for node in ast.walk(f)
-                      if isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Attribute)
-                      and node.func.attr == "window"]
-    assert seen == {n for names in INDEXED_SCANS.values() for n in names}
-    assert found == []
-
-
 def test_decompose_codim3_peels_value_tuples():
     """``decompose_codim3`` reads h and its layers as value tuples: it
     calls none of the steps that would build them as throwaway records
