@@ -120,25 +120,21 @@ def s1_general(gamma: IntFun, codim: int) -> int:
     """
     if codim < 2:
         raise ValueError("codim must be >= 2")
-    return _s1(gamma, codim, _checked_s0(gamma, codim))
+    return _s0_s1(gamma, codim)[1]
 
 
-def _checked_s0(gamma: IntFun, codim: int) -> int:
-    """s0 of gamma; ValueError unless gamma passes :func:`check_necessary`."""
-    chk = check_necessary(gamma, codim)
+def _s0_s1(gamma: IntFun, c: int) -> tuple[int, int]:
+    """(s0, s1) of gamma; ValueError unless it passes :func:`check_necessary`."""
+    chk = check_necessary(gamma, c)
     if not chk:
-        raise ValueError(f"not a codim-{codim} ACM character: {chk.failure}")
-    return chk.s0
-
-
-def _s1(gamma: IntFun, c: int, s0: int) -> int:
-    """The scan behind :func:`s1_general`, for a checked gamma with s0."""
+        raise ValueError(f"not a codim-{c} ACM character: {chk.failure}")
+    s0 = chk.s0
     # stops by sup: gamma (stored from degree 0) is -C(n+c-2, c-2) below s0,
     # so were it at or below the bound on [s0, sup] too, it would sum to at
     # most C(sup-s0+c-1, c-1) - C(sup+c-1, c-1), which is < 0 as s0 >= 1
     for n, v in enumerate(gamma.values[s0:], s0):
         if v > math.comb(n - s0 + c - 2, c - 2) - math.comb(n + c - 2, c - 2):
-            return n
+            return s0, n
 
 
 # -- model characters -----------------------------------------------------

@@ -7,9 +7,8 @@ from __future__ import annotations
 import operator
 
 from .characters import (
-    _checked_s0,
     _h_values,
-    _s1,
+    _s0_s1,
     char_s0,
     check_necessary,
     hypersurface_char,
@@ -91,8 +90,7 @@ def integral_screen(gamma: IntFun) -> bool:
     """Necessary (not sufficient) condition for gamma to come from an
     integral codim-3 ACM subscheme: gamma(n) >= min(0, n - s0 - s1 + 1)
     for n >= s1."""
-    s0 = _checked_s0(gamma, 3)
-    s1 = _s1(gamma, 3, s0)
+    s0, s1 = _s0_s1(gamma, 3)
     t, v = s0 + s1 - 1, gamma.values  # from degree 0; s0 >= 1, so t >= s1
     # the bound is n - t < 0 on [s1, t) and 0 from t on, where v may end
     return (min(v[t:], default=0) >= 0
@@ -118,8 +116,8 @@ def quadric_check(gamma: IntFun) -> QuadricCheck:
     chk = check_necessary(gamma, 3)
     if not chk or chk.s0 != 2:
         raise ValueError("quadric check needs a codim-3 character with s0 = 2")
-    # stored from degree 0 (gamma(0) = -1); the padding 0 ends the scan
-    t = next(t for t, x in enumerate((*gamma.values[2:], 0), 1) if x != -2)
+    # from degree 0, v[:2] = (-1, -2), so v[2:] sums to 3: a value > 0 ends the scan
+    t = next(t for t, x in enumerate(gamma.values[2:], 1) if x != -2)
     try:
         dec = decompose_codim3(gamma)
     except ValueError:
@@ -128,14 +126,13 @@ def quadric_check(gamma: IntFun) -> QuadricCheck:
 
 
 def integral_quadric_check(gamma: IntFun) -> bool:
-    """Sharper quadric-case screen for integral subschemes: only degree
-    t + 1 may dip to -1, everything from t + 2 on is nonnegative."""
-    q = quadric_check(gamma)
-    if not q.valid:
+    """:func:`integral_screen` behind the quadric guard.  gamma = -2 on
+    [1, t] gives h(t) = 2t + 1 = C(t+1, t) + C(t, t-1), so growth (for t = 1,
+    s0 = 2 alone) gives gamma(t+1) >= -2, hence >= -1 and s1 = t + 1: only
+    degree t + 1 may dip to -1, and everything from t + 2 on is nonnegative."""
+    if not quadric_check(gamma).valid:
         raise ValueError("character fails the quadric shape test")
-    v = gamma.values  # from degree 0, as quadric_check passed
-    return (min(v[q.t + 1:q.t + 2], default=0) >= -1
-            and min(v[q.t + 2:], default=0) >= 0)
+    return integral_screen(gamma)
 
 
 def plane_union_char(d1: int, d2: int) -> IntFun:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
-from .intfun import IntFun, _Frozen
+from .intfun import IntFun, _Frozen, _quote
 
 # (degree, genus) pairs classically listed for nondegenerate ACM curves of
 # degree <= 10; the enumerator reports anything extra separately.
@@ -60,9 +60,12 @@ def enumerate_positive_characters(d: int, min_s0: int = 1,
                                   max_sup: int | None = None) -> list[IntFun]:
     """All positive characters of degree d with s0 >= min_s0 and support
     bounded by max_sup, sorted by (len(values), values)."""
+    high = d if max_sup is None else max_sup
+    bad = [x for x in (d, min_s0, high) if type(x) is not int]
+    if bad:
+        raise TypeError(f"not an integer: {_quote(bad[0])}")
     if d < 1:
         raise ValueError("degree must be >= 1")
-    high = d if max_sup is None else max_sup
     return sorted((_character(ls) for ls in _layer_lengths(d, high)
                    if len(ls) >= min_s0),
                   key=lambda g: (len(g.values), g.values))
@@ -148,6 +151,8 @@ def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable
     ``dg_from_components``.  Nondegenerate curves have r >= 1;
     ``nondegenerate=False`` adds the single-component (hyperplane) case.
     """
+    if type(max_degree) is not int:
+        raise TypeError(f"not an integer: {_quote(max_degree)}")
     if max_degree < (4 if nondegenerate else 1):
         raise ValueError("degree bound below the minimal curve degree")
     table = _components(max_degree)

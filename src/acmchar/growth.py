@@ -49,8 +49,8 @@ class MacaulayFn(_Frozen):
 
 
 def s0_of(h: IntFun) -> int:
-    """Least n with h(n) < C(a+n-1, n), a = h(1).  Always finite (> 1) for
-    finitely supported input of type a >= 1."""
+    """Least n with h(n) < C(a+n-1, n), a = h(1).  Always finite for
+    finitely supported input of type a >= 1, and > 1 when h(0) >= 1."""
     off = h.offset  # h from degree 0 on; empty past offset 1, where h(1) = 0
     return _s0(h.values[-off:] if off <= 0 else (0, *h.values) if off == 1 else ())
 

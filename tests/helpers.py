@@ -17,6 +17,7 @@ from acmchar import (
     h_from_gamma,
     is_macaulay,
     is_positive_character,
+    quadric_check,
     s0_of,
     surface_invariants,
     upper,
@@ -262,6 +263,19 @@ def integral_screen_pointwise(gamma):
     s1 = s1_pointwise(gamma, 3, s0)
     top = max(gamma.sup(), s0 + s1)
     return all(gamma(n) >= min(0, n - s0 - s1 + 1) for n in range(s1, top + 1))
+
+
+def integral_quadric_pointwise(gamma):
+    """Oracle for ``integral_quadric_check``: the two-bound quadric screen,
+    gamma(t+1) >= -1 and gamma(n) >= 0 for n >= t + 2, point by point,
+    behind ``quadric_check``'s guard."""
+    if not quadric_check(gamma).valid:
+        raise ValueError("character fails the quadric shape test")
+    t = 1
+    while gamma(t + 1) == -2:
+        t += 1
+    return gamma(t + 1) >= -1 and all(gamma(n) >= 0
+                                      for n in range(t + 2, gamma.sup() + 1))
 
 
 def validate_stepwise(parts, type_a):

@@ -26,7 +26,7 @@ from acmchar import (
 
 from acmchar import growth
 
-from helpers import macaulay_functions, small_characters
+from helpers import integral_quadric_pointwise, macaulay_functions, small_characters
 
 
 def F(*vals):
@@ -218,8 +218,14 @@ class TestIntegralScreen:
         assert integral_screen(F(-1, -2, -3, 6))
 
     def test_fails_late_dip(self):
-        # s0 = 2, s1 = 3; the -1 at degree 4 violates the floor
+        # s0 = s1 = 2, so the floor is 0 from degree 3: the -1 at 4 breaks it
         gamma = F(-1, -2, -1, 3, -1, 2)
+        assert check_necessary(gamma, 3)
+        assert not integral_screen(gamma)
+
+    def test_fails_dip_below_the_slope(self):
+        # s0 = s1 = 3: the floor n - 5 is -1 at degree 4, where gamma is -2
+        gamma = F(-1, -2, -3, 0, -2, 4, 4)
         assert check_necessary(gamma, 3)
         assert not integral_screen(gamma)
 
@@ -310,8 +316,8 @@ class TestMinimalDegreeBound:
 
 class TestScreenHierarchy:
     def test_integral_quadric_implies_integral_screen(self):
-        # the sharper quadric screen never passes where the general
-        # integrality floor fails
+        # the quadric screen never passes where the general integrality
+        # floor fails (it is that floor behind the quadric guard)
         table = enumerate_acm_curves(10)
         for entry in table.entries:
             for w in entry.witnesses:
@@ -320,3 +326,42 @@ class TestScreenHierarchy:
                     continue
                 if quadric_check(gamma).valid and integral_quadric_check(gamma):
                     assert integral_screen(gamma), str(gamma)
+
+
+class TestIntegralQuadricIsIntegralScreen:
+    def test_agrees_with_the_two_bound_oracle(self):
+        # every codim-3 ACM character of degree <= 24, hyperplane case included
+        table = enumerate_acm_curves(24, nondegenerate=False)
+        chars = [w.recompose() for e in table.entries for w in e.witnesses]
+        assert len(chars) == 3083
+        quadric = [g for g in chars if check_necessary(g, 3).s0 == 2]
+        assert len(quadric) == 1800
+        outcomes = set()
+        for gamma in quadric:
+            q = quadric_check(gamma)
+            assert q.valid, str(gamma)
+            # growth keeps gamma(t+1) >= -2 and t's choice off -2: s1 = t + 1
+            assert gamma(q.t + 1) >= -1, str(gamma)
+            assert s1_general(gamma, 3) == q.t + 1, str(gamma)
+            expected = integral_quadric_pointwise(gamma)
+            assert integral_screen(gamma) == expected, str(gamma)
+            assert integral_quadric_check(gamma) == expected, str(gamma)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_failed_shape_raises_as_before(self):
+        failed = [g for g in small_characters(5, 3)
+                  if (chk := check_necessary(g, 3)) and chk.s0 == 2
+                  and not quadric_check(g).valid]
+        assert len(failed) == 120
+        for gamma in failed:
+            for screen in (integral_quadric_check, integral_quadric_pointwise):
+                with pytest.raises(ValueError) as info:
+                    screen(gamma)
+                assert str(info.value) == "character fails the quadric shape test"
+
+    @pytest.mark.parametrize("gamma", [F(-1, -1, 2), F(-1, -2, -3, 6), F(-1, 2, -1)])
+    def test_needs_a_character_with_s0_two(self, gamma):
+        with pytest.raises(ValueError) as info:
+            integral_quadric_check(gamma)
+        assert str(info.value) == "quadric check needs a codim-3 character with s0 = 2"

@@ -97,6 +97,16 @@ class TestPositiveCharacters:
         with pytest.raises(ValueError):
             enumerate_positive_characters(0)
 
+    @pytest.mark.parametrize("args, bad", [
+        ((True,), True), ((3, 1.5), 1.5), ((2, 1, 2.5), 2.5), ((5, 1, 2.5), 2.5),
+        ((10.0,), 10.0), ((-1.5,), -1.5), ((0, True), True),
+        ((3, 1, False), False),
+    ], ids=repr)
+    def test_refuses_non_integers(self, args, bad):
+        with pytest.raises(TypeError) as info:
+            enumerate_positive_characters(*args)
+        assert str(info.value) == f"not an integer: {bad!r}"
+
     def test_partitions_match_raw_search(self):
         """The pruned generator lists every partition of d into distinct
         positive parts <= high, as decreasing tuples in descending order."""
@@ -175,13 +185,14 @@ class TestWalk:
 
 class TestDgFromComponents:
     def test_agrees_with_direct_invariants(self):
-        table = enumerate_acm_curves(10)
-        for entry in table.entries:
-            for w in entry.witnesses:
-                inv = dg_from_components(w)
-                assert (inv.d, inv.g) == (entry.d, entry.g)
-                direct = curve_invariants(w.recompose())
-                assert inv == direct
+        for nondegenerate in (True, False):
+            table = enumerate_acm_curves(20, nondegenerate)
+            assert table.pairs() == [(e.d, e.g) for e in table.entries]
+            for entry in table.entries:
+                for w in entry.witnesses:
+                    inv = dg_from_components(w)
+                    assert (inv.d, inv.g) == (entry.d, entry.g)
+                    assert inv == curve_invariants(w.recompose())
 
 
 class TestCurveTable:
@@ -228,6 +239,15 @@ class TestCurveTable:
             enumerate_acm_curves(3)
         with pytest.raises(ValueError):
             enumerate_acm_curves(0, nondegenerate=False)
+
+    @pytest.mark.parametrize("args, bad", [
+        ((True, False), True), ((10.5,), 10.5), ((24.0,), 24.0),
+        ((-2.5,), -2.5), ((1.0, False), 1.0),
+    ], ids=repr)
+    def test_refuses_non_integers(self, args, bad):
+        with pytest.raises(TypeError) as info:
+            enumerate_acm_curves(*args)
+        assert str(info.value) == f"not an integer: {bad!r}"
 
     def test_one_witness_per_character(self):
         table = enumerate_acm_curves(10)
