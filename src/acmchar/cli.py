@@ -17,7 +17,6 @@ from . import (
     curve_invariants,
     decompose,
     decompose_codim3,
-    enumerate_acm_curves,
     gamma_from_h,
     gamma_from_resolution,
     h_from_gamma,
@@ -32,6 +31,7 @@ from . import (
     surface_invariants,
     upper,
 )
+from .enumeration import _beyond, _curve_rows, _write_json
 
 
 class _LiteralError(Exception):
@@ -139,21 +139,27 @@ def _cmd_resolution(args):
 
 
 def _cmd_enumerate(args):
-    table = enumerate_acm_curves(args.max_degree,
-                                 nondegenerate=not args.degenerate)
+    rows = _curve_rows(args.max_degree, not args.degenerate)
     if args.json:
-        table.write_json(sys.stdout)
+        _write_json(sys.stdout, rows)
         return
-    listed, beyond = table.split()
-    for heading, entries in ((None, listed),
-                             ("beyond the classical list:", beyond)):
-        if heading and entries:
-            print(heading)
-        for e in entries:
-            print(f"{e.d} {e.g} {len(e.witnesses)}")
-            if args.verbose:
-                for w in e.witnesses:
-                    print("  " + " ".join(str(p) for p in w.parts))
+
+    def show(d, g, witnesses):
+        print(f"{d} {g} {len(witnesses)}")
+        if args.verbose:
+            for w in witnesses:
+                print("  " + " ".join(map(str, w)))
+
+    beyond = []  # only rows of degree <= REFERENCE_MAX_DEGREE land here
+    for row in rows:
+        if _beyond(row[0], row[1]):
+            beyond.append(row)
+        else:
+            show(*row)
+    if beyond:
+        print("beyond the classical list:")
+    for row in beyond:
+        show(*row)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -90,8 +90,13 @@ def integral_screen(gamma: IntFun) -> bool:
     """Necessary (not sufficient) condition for gamma to come from an
     integral codim-3 ACM subscheme: gamma(n) >= min(0, n - s0 - s1 + 1)
     for n >= s1."""
-    s0, s1 = _s0_s1(gamma, 3)
-    t, v = s0 + s1 - 1, gamma.values  # from degree 0; s0 >= 1, so t >= s1
+    return _integral(gamma.values, *_s0_s1(gamma, 3))
+
+
+def _integral(v: tuple[int, ...], s0: int, s1: int) -> bool:
+    """``integral_screen`` on the values v, from degree 0, of a character
+    with these s0 and s1."""
+    t = s0 + s1 - 1  # s0 >= 1, so t >= s1
     # the bound is n - t < 0 on [s1, t) and 0 from t on, where v may end
     return (min(v[t:], default=0) >= 0
             and all(x >= n - t for n, x in enumerate(v[s1:t], s1)))
@@ -126,13 +131,15 @@ def quadric_check(gamma: IntFun) -> QuadricCheck:
 
 
 def integral_quadric_check(gamma: IntFun) -> bool:
-    """:func:`integral_screen` behind the quadric guard.  gamma = -2 on
+    """:func:`integral_screen` behind the quadric guard, which supplies
+    s0 = 2 and s1 = t + 1, so gamma is checked once.  gamma = -2 on
     [1, t] gives h(t) = 2t + 1 = C(t+1, t) + C(t, t-1), so growth (for t = 1,
     s0 = 2 alone) gives gamma(t+1) >= -2, hence >= -1 and s1 = t + 1: only
     degree t + 1 may dip to -1, and everything from t + 2 on is nonnegative."""
-    if not quadric_check(gamma).valid:
+    q = quadric_check(gamma)
+    if not q.valid:
         raise ValueError("character fails the quadric shape test")
-    return integral_screen(gamma)
+    return _integral(gamma.values, 2, q.t + 1)
 
 
 def plane_union_char(d1: int, d2: int) -> IntFun:

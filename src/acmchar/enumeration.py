@@ -4,6 +4,8 @@ codimension-3 ACM curve characters up to a degree bound, with
 """
 from __future__ import annotations
 
+from itertools import chain, groupby
+
 from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
 from .intfun import IntFun, _Frozen, _quote
@@ -43,17 +45,14 @@ def _character(lengths: tuple[int, ...]) -> IntFun:
     return IntFun(0, tuple(vals))
 
 
-def _components(max_degree: int) -> list[tuple[IntFun, int, int, int, int]]:
-    """(gamma, d_i, sup, s0, delta) per positive character of degree
-    d_i <= max_degree, in values order, read off its layer lengths l:
-    d_i = sum l, sup = l_0, s0 = len(l) and delta = sum_i l_i (l_i + 2i - 4),
-    the sum of (i + l_i)^2 - 4 (i + l_i) - (i^2 - 4i)."""
-    table = []
-    for d_i in range(1, max_degree + 1):
-        for ls in _layer_lengths(d_i, d_i):
-            delta = sum(l * (l + 2 * i - 4) for i, l in enumerate(ls))
-            table.append((_character(ls), d_i, ls[0], len(ls), delta))
-    return sorted(table, key=lambda c: c[0].values)
+def _degree_components(d: int) -> list[tuple[IntFun, int, int, int, int]]:
+    """(gamma, d, sup, s0, delta) per positive character of degree d, in
+    values order, read off its layer lengths l: sup = l_0, s0 = len(l) and
+    delta = sum_i l_i (l_i + 2i - 4), the sum of (i + l_i)^2 - 4 (i + l_i)
+    - (i^2 - 4i)."""
+    return sorted(((_character(ls), d, ls[0], len(ls),
+                    sum(l * (l + 2 * i - 4) for i, l in enumerate(ls)))
+                   for ls in _layer_lengths(d, d)), key=lambda c: c[0].values)
 
 
 def enumerate_positive_characters(d: int, min_s0: int = 1,
@@ -87,6 +86,40 @@ def _part_json(p: IntFun) -> str:
     return f'{{"offset": {p.offset}, "values": [{", ".join(map(str, p.values))}]}}'
 
 
+def _beyond(d: int, g: int) -> bool:
+    """Whether (d, g) is missing from the reference list for its degree."""
+    return d <= REFERENCE_MAX_DEGREE and (d, g) not in REFERENCE_PAIRS_DEG10
+
+
+def _write_json(out, rows) -> None:
+    """Write json.dumps({"beyond_paper": [...], "pairs": [...]},
+    sort_keys=True) and a newline for (d, g, witnesses) rows in (d, g)
+    order, each witness a tuple of parts.  Only the rows up to the first of
+    degree > REFERENCE_MAX_DEGREE are held back, until the beyond_paper list
+    is known; the rest are written as they come."""
+    # keyed by id(p): an int key skips the field-tuple __hash__ an IntFun
+    # key runs per lookup.  No id is reused while parts are still looked up:
+    # a DGTable holds every part, and _curve_rows keeps every component it
+    # has built until it is exhausted
+    memo: dict[int, str] = {}
+    part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))
+    held, later = [], iter(rows)
+    for row in later:
+        held.append(row)
+        if row[0] > REFERENCE_MAX_DEGREE:
+            break
+    beyond = [row for row in held if _beyond(row[0], row[1])]
+    listed = chain((row for row in held if not _beyond(row[0], row[1])), later)
+    for head, part_rows in (('{"beyond_paper": [', beyond),
+                            ('], "pairs": [', listed)):
+        out.write(head)
+        for n, (d, g, witnesses) in enumerate(part_rows):
+            wits = ", ".join(f"[{', '.join(map(part, w))}]" for w in witnesses)
+            out.write(f'{", " if n else ""}{{"d": {d}, "g": {g}, '
+                      f'"witnesses": [{wits}]}}')
+    out.write("]}\n")
+
+
 class DGEntry(_Frozen):
     __slots__ = ("d", "g", "witnesses")
 
@@ -112,9 +145,7 @@ class DGTable(_Frozen):
         missing from it."""
         listed, beyond = [], []
         for e in self.entries:
-            missing = (e.d <= REFERENCE_MAX_DEGREE
-                       and (e.d, e.g) not in REFERENCE_PAIRS_DEG10)
-            (beyond if missing else listed).append(e)
+            (beyond if _beyond(e.d, e.g) else listed).append(e)
         return listed, beyond
 
     def to_json(self) -> dict:
@@ -125,20 +156,53 @@ class DGTable(_Frozen):
 
     def write_json(self, out) -> None:
         """Write json.dumps(self.to_json(), sort_keys=True) and a newline."""
-        listed, beyond = self.split()
-        # keyed by id(p): an int key skips the field-tuple __hash__ an IntFun
-        # key runs per lookup, and self holds every part, so no id is reused
-        memo: dict[int, str] = {}
-        part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))
-        for head, entries in (('{"beyond_paper": [', beyond),
-                              ('], "pairs": [', listed)):
-            out.write(head)
-            for n, e in enumerate(entries):
-                wits = ", ".join(f"[{', '.join(map(part, w.parts))}]"
-                                 for w in e.witnesses)
-                out.write(f'{", " if n else ""}{{"d": {e.d}, "g": {e.g}, '
-                          f'"witnesses": [{wits}]}}')
-        out.write("]}\n")
+        _write_json(out, ((e.d, e.g, [w.parts for w in e.witnesses])
+                          for e in self.entries))
+
+
+def _curve_rows(max_degree: int, nondegenerate: bool = True):
+    """Yield the (d, g, witnesses) of ``enumerate_acm_curves`` in (d, g)
+    order, a degree at a time, each witness a tuple of parts.
+
+    A witness of degree d is a first component gamma_0 of degree d_0 and a
+    tail of degree e = d - d_0 whose first part has sup <= s0(gamma_0) - 1.
+    tails[k][e] lists, in values order, (parts, share) for the tails of
+    degree e with first sup <= k, share being what they add to 2g - 2 from
+    position 1 on.  Cap k is asked for only with e <= d - (k + 1)(k + 2)/2,
+    as d_0 >= s0 (s0 + 1) / 2, so each degree adds one row per cap.  With
+    first components in values order too, grouping by (2g - 2, number of
+    parts) puts each pair's witnesses in order."""
+    if type(max_degree) is not int:
+        raise TypeError(f"not an integer: {_quote(max_degree)}")
+    if max_degree < (4 if nondegenerate else 1):
+        raise ValueError("degree bound below the minimal curve degree")
+    firsts = []  # every component of degree <= d, in values order
+    followers = []  # followers[k]: the components with sup <= k
+    tails = []
+    for d in range(1, max_degree + 1):
+        firsts = sorted(firsts + _degree_components(d), key=lambda c: c[0].values)
+        k = len(tails)
+        if (k + 1) * (k + 2) // 2 == d:  # the first d with a tail row for cap k
+            followers.append([c for c in firsts if c[2] <= k])  # all of degree < d
+            tails.append([])
+        for k, rows in enumerate(tails):
+            e, row = len(rows), [] if rows else [((), 0)]
+            for g, d_i, _, s0, delta in followers[k]:
+                if d_i <= e:  # g at position 1 adds delta + 3 d_i, and
+                    # the rest, one position later than in its row, 2 (e - d_i)
+                    share = delta + d_i + 2 * e
+                    row += [((g, *parts), share + t)
+                            for parts, t in tails[s0 - 1][e - d_i]]
+            rows.append(row)
+        groups: dict[tuple[int, int], list] = {}
+        for g, d_i, _, s0, delta in firsts:
+            if d_i == d and nondegenerate:
+                continue
+            base = delta + d_i
+            for parts, t in tails[s0 - 1][d - d_i]:
+                groups.setdefault((base + t, len(parts)), []).append((g, *parts))
+        for twice, keys in groupby(sorted(groups), key=lambda key: key[0]):
+            yield d, twice // 2 + 1, [w for key in keys for w in groups.pop(key)]
 
 
 def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable:
@@ -151,34 +215,6 @@ def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable
     ``dg_from_components``.  Nondegenerate curves have r >= 1;
     ``nondegenerate=False`` adds the single-component (hyperplane) case.
     """
-    if type(max_degree) is not int:
-        raise TypeError(f"not an integer: {_quote(max_degree)}")
-    if max_degree < (4 if nondegenerate else 1):
-        raise ValueError("degree bound below the minimal curve degree")
-    table = _components(max_degree)
-    # below[cap]: the components with sup <= cap, still in values order
-    below = [[c for c in table if c[2] <= cap]
-             for cap in range(max(c[3] for c in table))]
-
-    grouped: dict[tuple[int, int], list[tuple[IntFun, ...]]] = {}
-    # a level lists the (parts, d, 2g - 2, children) of the chains of i parts
-    # that can be followed, in witness order: it extends the level before in
-    # order through values-ordered children, and levels come by length
-    level = [((), 0, 0, table)]
-    while level:
-        chains, level = level, []
-        for prefix, d, twice, children in chains:
-            i, budget = len(prefix), max_degree - d
-            for g, d_i, _, s0, delta in children:
-                if d_i > budget:
-                    continue
-                parts = prefix + (g,)
-                total = twice + delta + (2 * i + 1) * d_i
-                if i or not nondegenerate:
-                    grouped.setdefault((d + d_i, total), []).append(parts)
-                if s0 >= 2:  # only a component with s0 >= 2 can be followed
-                    level.append((parts, d + d_i, total, below[s0 - 1]))
     return DGTable(tuple(
-        DGEntry(d, twice // 2 + 1,
-                tuple(map(Codim3Decomposition, grouped.pop((d, twice)))))
-        for d, twice in sorted(grouped)))
+        DGEntry(d, g, tuple(map(Codim3Decomposition, wits)))
+        for d, g, wits in _curve_rows(max_degree, nondegenerate)))

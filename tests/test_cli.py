@@ -156,6 +156,12 @@ class TestAnalysisVerbs:
         assert acmchar.integral_screen(IntFun(0, (-1, -2, -1, 4)))
         assert len(necessary_calls) == 1
 
+    def test_integral_quadric_check_checks_the_character_once(
+            self, necessary_calls):
+        """quadric_check's guard supplies s0 and s1 to the screen."""
+        assert acmchar.integral_quadric_check(IntFun(0, (-1, -2, -1, 4)))
+        assert len(necessary_calls) == 1
+
     def test_quadric_check_checks_the_character_once(
             self, capture, necessary_calls):
         code, out, _ = capture("quadric-check", "(-1,-2,-1,4)")
@@ -230,6 +236,45 @@ class TestEnumerateVerb:
         assert code == 0
         assert capsys.readouterr().out == json.dumps(
             table.to_json(), sort_keys=True) + "\n"
+
+    @staticmethod
+    def rendered(table, verbose):
+        """The plain or --verbose text of a whole table, from its split()."""
+        listed, beyond = table.split()
+        lines = []
+        for heading, entries in ((None, listed),
+                                 ("beyond the classical list:", beyond)):
+            if heading and entries:
+                lines.append(heading)
+            for e in entries:
+                lines.append(f"{e.d} {e.g} {len(e.witnesses)}")
+                if verbose:
+                    lines += ["  " + " ".join(map(str, w.parts))
+                              for w in e.witnesses]
+        return "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("nondegenerate", [True, False])
+    def test_streamed_output_is_the_table_rendered(self, capsys, nondegenerate):
+        """Each form of the streamed output equals the text built from the
+        whole table, including D = 10 and 11, where the held-back
+        beyond_paper rows end."""
+        flag = [] if nondegenerate else ["--degenerate"]
+        for max_degree in range(4 if nondegenerate else 1, 21):
+            table = enumerate_acm_curves(max_degree, nondegenerate)
+            argv = ["enumerate", "--max-degree", str(max_degree), *flag]
+            for form, want in (
+                    ("--json", json.dumps(table.to_json(), sort_keys=True) + "\n"),
+                    (None, self.rendered(table, verbose=False)),
+                    ("--verbose", self.rendered(table, verbose=True))):
+                assert run(argv + [form] * bool(form)) == 0
+                assert capsys.readouterr().out == want, (max_degree, form)
+
+    @pytest.mark.parametrize("form", [[], ["--json"], ["--verbose"]])
+    def test_bound_is_refused_before_any_output(self, capsys, form):
+        assert run(["enumerate", "--max-degree", "3", *form]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: degree bound below the minimal curve degree\n"
 
     def test_json_digest_degree_32(self, capsys):
         code = run(["enumerate", "--max-degree", "32", "--json"])

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import time
 from itertools import combinations, product
 
 import pytest
@@ -31,9 +32,11 @@ from acmchar import (
 from acmchar.cli import run
 from acmchar.enumeration import (
     _character,
-    _components,
+    _curve_rows,
+    _degree_components,
     _layer_lengths,
     _part_json,
+    _write_json,
 )
 
 from helpers import placed_positive_characters, walk_acm_curves
@@ -161,26 +164,45 @@ class TestWalk:
             assert got == walk_acm_curves(max_degree, nondegenerate), max_degree
 
     def test_leaves_no_cyclic_garbage(self):
-        """The walk builds no reference cycle, so its component table and
-        support lists go as soon as the call returns."""
+        """The walk builds no reference cycle, so its components and tail
+        rows go as soon as the call returns, and each degree's rows as soon
+        as the streamed output has written them."""
         gc.collect()
         gc.disable()
         try:
             table = enumerate_acm_curves(16)
             assert gc.collect() == 0
+            for nondegenerate in (True, False):
+                rows = sum(1 for _ in _curve_rows(16, nondegenerate))
+                assert gc.collect() == 0
+                assert rows == len(enumerate_acm_curves(16, nondegenerate).entries)
+            _write_json(io.StringIO(), _curve_rows(16))
+            assert gc.collect() == 0
         finally:
             gc.enable()
         assert table.entries
 
+    def test_first_row_comes_before_the_rest_are_built(self):
+        """Components and tail rows are built a degree at a time, never
+        sized by the bound."""
+        for nondegenerate in (True, False):
+            start = time.perf_counter()
+            first = next(_curve_rows(10_000, nondegenerate))
+            assert time.perf_counter() - start < 1
+            assert first == next(_curve_rows(4, nondegenerate))
+
     def test_component_table_reads_invariants_off_positions(self):
-        table = _components(40)
+        table = []
+        for d in range(1, 41):
+            components = _degree_components(d)
+            values = [c[0].values for c in components]
+            assert values == sorted(values)
+            table += components
         assert len(table) == sum(len(enumerate_positive_characters(d))
                                  for d in range(1, 41))
         for g, d_i, sup, s0, delta in table:
             assert (d_i, sup, s0, delta) == (
                 g.degree(), g.sup(), char_s0(g), surface_invariants(g).delta), g
-        values = [c[0].values for c in table]
-        assert values == sorted(values)
 
 
 class TestDgFromComponents:

@@ -93,8 +93,8 @@ WINDOW_SCANS = {
                   "_peel", "_check_layers"),
     "characters.py": ("gamma_from_h", "h_from_gamma", "_h_values", "char_s0",
                       "is_positive_character", "check_necessary", "_s0_s1"),
-    "codim3.py": ("check_prop36_bounds", "integral_screen", "quadric_check",
-                  "integral_quadric_check"),
+    "codim3.py": ("check_prop36_bounds", "integral_screen", "_integral",
+                  "quadric_check", "integral_quadric_check"),
 }
 
 
