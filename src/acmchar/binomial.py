@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .intfun import _Frozen, _quote
+from .intfun import _Frozen, _require_ints
 
 # an expansion can have min(alpha, i) terms; macaulay_expand refuses past this
 MAX_EXPANSION_TERMS = 10**5
@@ -18,6 +18,7 @@ MAX_EXPANSION_TERMS = 10**5
 
 def binom(n: int, p: int) -> int:
     """C(n, p) with the degenerate column p = -1 admitted."""
+    _require_ints(n, p)
     if p < -1:
         raise ValueError(f"binom undefined for p = {p} < -1")
     if p == -1:
@@ -33,9 +34,7 @@ class MacaulayExpansion(_Frozen):
 
     def __init__(self, terms: tuple[tuple[int, int], ...]):
         terms = tuple((m, k) for m, k in terms)
-        bad = [x for t in terms for x in t if type(x) is not int]
-        if bad:
-            raise TypeError(f"not an integer: {_quote(bad[0])}")
+        _require_ints(*(x for t in terms for x in t))
         object.__setattr__(self, "terms", terms)
         self.validate()
 
@@ -85,9 +84,7 @@ def _greedy(alpha: int, i: int, least: int) -> tuple[list[tuple[int, int]], int]
     remainder rem exceeds k, and that remainder.  From there every term is
     C(k,k) = 1, so the expansion ends in rem such terms.  Types are checked
     before signs, so a negative float is refused as a non-integer too."""
-    bad = [x for x in (alpha, i) if type(x) is not int]
-    if bad:
-        raise TypeError(f"not an integer: {_quote(bad[0])}")
+    _require_ints(alpha, i)
     if alpha < least:
         raise ValueError(f"alpha must be >= {least}")
     if i <= 0:

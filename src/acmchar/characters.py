@@ -12,7 +12,7 @@ import math
 import operator
 
 from .binomial import binom
-from .intfun import ConstantTailError, IntFun, _Frozen
+from .intfun import ConstantTailError, IntFun, _Frozen, _require_ints
 
 
 # -- conversions ----------------------------------------------------------
@@ -86,6 +86,7 @@ def check_necessary(gamma: IntFun, codim: int) -> NecessaryCheck:
     Every nonempty subscheme has gamma(0) = -1, so s0 >= 1, and an accepted
     gamma is stored from degree 0.
     """
+    _require_ints(codim)
     if codim < 1:
         raise ValueError("codim must be >= 1")
     v = gamma.values
@@ -118,6 +119,7 @@ def s1_general(gamma: IntFun, codim: int) -> int:
     For codim 2 this is the first positive value at or after s0; for
     codim 3 the first value > -s0.
     """
+    _require_ints(codim)
     if codim < 2:
         raise ValueError("codim must be >= 2")
     return _s0_s1(gamma, codim)[1]
@@ -142,6 +144,7 @@ def _s0_s1(gamma: IntFun, c: int) -> tuple[int, int]:
 
 def hypersurface_char(d: int) -> IntFun:
     """Character of a degree-d hypersurface: -1 at 0 and +1 at d."""
+    _require_ints(d)
     if d < 1:
         raise ValueError("degree must be >= 1")
     return IntFun(0, (-1,) + (0,) * (d - 1) + (1,))
@@ -150,6 +153,7 @@ def hypersurface_char(d: int) -> IntFun:
 def complete_intersection_char(s0: int, s1: int) -> IntFun:
     """Character of the complete intersection of hypersurfaces of degrees
     s0 <= s1: -1 on [0, s0), +1 on [s1, s0+s1)."""
+    _require_ints(s0, s1)
     if s0 < 1 or s1 < s0:
         raise ValueError("need 1 <= s0 <= s1")
     return IntFun(0, (-1,) * s0) + IntFun(s1, (1,) * s0)
@@ -170,6 +174,7 @@ def biliaison(gamma_x: IntFun, gamma_y: IntFun, h: int) -> IntFun:
 
     Refuses when the three summands together span more than
     MAX_BILIAISON_SPAN degrees."""
+    _require_ints(h)
     p = gamma_y.primitive()
     x, q = gamma_x.shift(-h), p.shift(-h)
     terms = [f for f in (x, p, q) if not f.is_zero()]
@@ -182,6 +187,7 @@ def biliaison(gamma_x: IntFun, gamma_y: IntFun, h: int) -> IntFun:
 
 
 def _check_codim(codim: int) -> None:
+    _require_ints(codim)
     if codim < 2:
         raise ValueError("codim must be >= 2")
     if codim > MAX_RESOLUTION_CODIM:
@@ -210,6 +216,7 @@ def gamma_from_resolution(r: IntFun, codim: int) -> IntFun:
 def postulation_values(gamma: IntFun, m_dim: int, n: int) -> int:
     """h^0 I_X(n) - h^0 O_P(n) for a dimension-``m_dim`` subscheme with
     character gamma: sum_k C(n-k+M+1, M+1) gamma(k)."""
+    _require_ints(m_dim, n)
     if m_dim < 0:
         raise ValueError("dimension must be >= 0")
     return sum(binom(n - k + m_dim + 1, m_dim + 1) * v for k, v in gamma.support())
@@ -255,6 +262,7 @@ def hilbert_polynomial(gamma: IntFun, m_dim: int) -> tuple[Fraction, ...]:
     """Exact rational coefficients (constant term first) of the Hilbert
     polynomial P(n) = -sum_k (n-k+M+1)...(n-k+1)/(M+1)! gamma(k)."""
     from fractions import Fraction  # only here, so that no verb imports it
+    _require_ints(m_dim)
     if m_dim < 0:
         raise ValueError("dimension must be >= 0")
     deg = m_dim + 1

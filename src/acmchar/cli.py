@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import (
@@ -31,7 +32,7 @@ from . import (
     surface_invariants,
     upper,
 )
-from .enumeration import _beyond, _curve_rows, _write_json
+from .enumeration import _curve_rows, _split, _write_json
 
 
 class _LiteralError(Exception):
@@ -139,9 +140,9 @@ def _cmd_resolution(args):
 
 
 def _cmd_enumerate(args):
-    rows = _curve_rows(args.max_degree, not args.degenerate)
+    beyond, listed = _split(_curve_rows(args.max_degree, not args.degenerate))
     if args.json:
-        _write_json(sys.stdout, rows)
+        _write_json(sys.stdout, beyond, listed)
         return
 
     def show(d, g, witnesses):
@@ -150,12 +151,8 @@ def _cmd_enumerate(args):
             for w in witnesses:
                 print("  " + " ".join(map(str, w)))
 
-    beyond = []  # only rows of degree <= REFERENCE_MAX_DEGREE land here
-    for row in rows:
-        if _beyond(row[0], row[1]):
-            beyond.append(row)
-        else:
-            show(*row)
+    for row in listed:
+        show(*row)
     if beyond:
         print("beyond the classical list:")
     for row in beyond:
@@ -238,7 +235,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early: end quietly, and send what is still
+        # buffered to devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

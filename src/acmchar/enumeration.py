@@ -8,7 +8,7 @@ from itertools import chain, groupby
 
 from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
-from .intfun import IntFun, _Frozen, _quote
+from .intfun import IntFun, _Frozen, _require_ints
 
 # (degree, genus) pairs classically listed for nondegenerate ACM curves of
 # degree <= 10; the enumerator reports anything extra separately.
@@ -60,9 +60,7 @@ def enumerate_positive_characters(d: int, min_s0: int = 1,
     """All positive characters of degree d with s0 >= min_s0 and support
     bounded by max_sup, sorted by (len(values), values)."""
     high = d if max_sup is None else max_sup
-    bad = [x for x in (d, min_s0, high) if type(x) is not int]
-    if bad:
-        raise TypeError(f"not an integer: {_quote(bad[0])}")
+    _require_ints(d, min_s0, high)
     if d < 1:
         raise ValueError("degree must be >= 1")
     return sorted((_character(ls) for ls in _layer_lengths(d, high)
@@ -91,25 +89,31 @@ def _beyond(d: int, g: int) -> bool:
     return d <= REFERENCE_MAX_DEGREE and (d, g) not in REFERENCE_PAIRS_DEG10
 
 
-def _write_json(out, rows) -> None:
-    """Write json.dumps({"beyond_paper": [...], "pairs": [...]},
-    sort_keys=True) and a newline for (d, g, witnesses) rows in (d, g)
-    order, each witness a tuple of parts.  Only the rows up to the first of
-    degree > REFERENCE_MAX_DEGREE are held back, until the beyond_paper list
-    is known; the rest are written as they come."""
-    # keyed by id(p): an int key skips the field-tuple __hash__ an IntFun
-    # key runs per lookup.  No id is reused while parts are still looked up:
-    # a DGTable holds every part, and _curve_rows keeps every component it
-    # has built until it is exhausted
-    memo: dict[int, str] = {}
-    part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))
+def _split(rows):
+    """(beyond, listed) for (d, g, ...) rows in (d, g) order: the list of
+    rows whose pair is missing from the reference list, and an iterator
+    over the rest in order.  Only the rows up to the first of degree >
+    REFERENCE_MAX_DEGREE are read ahead; the rest pass as they come."""
     held, later = [], iter(rows)
     for row in later:
         held.append(row)
         if row[0] > REFERENCE_MAX_DEGREE:
             break
     beyond = [row for row in held if _beyond(row[0], row[1])]
-    listed = chain((row for row in held if not _beyond(row[0], row[1])), later)
+    return beyond, chain((row for row in held if not _beyond(row[0], row[1])),
+                         later)
+
+
+def _write_json(out, beyond, listed) -> None:
+    """Write json.dumps({"beyond_paper": [...], "pairs": [...]},
+    sort_keys=True) and a newline for the two parts of a split, as
+    (d, g, witnesses) rows, each witness a tuple of parts."""
+    # keyed by id(p): an int key skips the field-tuple __hash__ an IntFun
+    # key runs per lookup.  No id is reused while parts are still looked up:
+    # a DGTable holds every part, and _curve_rows keeps every component it
+    # has built until it is exhausted
+    memo: dict[int, str] = {}
+    part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))
     for head, part_rows in (('{"beyond_paper": [', beyond),
                             ('], "pairs": [', listed)):
         out.write(head)
@@ -156,8 +160,10 @@ class DGTable(_Frozen):
 
     def write_json(self, out) -> None:
         """Write json.dumps(self.to_json(), sort_keys=True) and a newline."""
-        _write_json(out, ((e.d, e.g, [w.parts for w in e.witnesses])
-                          for e in self.entries))
+        listed, beyond = self.split()
+        rows = lambda entries: ((e.d, e.g, [w.parts for w in e.witnesses])
+                                for e in entries)
+        _write_json(out, rows(beyond), rows(listed))
 
 
 def _curve_rows(max_degree: int, nondegenerate: bool = True):
@@ -172,8 +178,7 @@ def _curve_rows(max_degree: int, nondegenerate: bool = True):
     as d_0 >= s0 (s0 + 1) / 2, so each degree adds one row per cap.  With
     first components in values order too, grouping by (2g - 2, number of
     parts) puts each pair's witnesses in order."""
-    if type(max_degree) is not int:
-        raise TypeError(f"not an integer: {_quote(max_degree)}")
+    _require_ints(max_degree)
     if max_degree < (4 if nondegenerate else 1):
         raise ValueError("degree bound below the minimal curve degree")
     firsts = []  # every component of degree <= d, in values order

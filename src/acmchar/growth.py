@@ -13,7 +13,7 @@ from math import comb
 import operator
 
 from .binomial import upper
-from .intfun import IntFun, _Frozen, _quote
+from .intfun import IntFun, _Frozen, _quote, _require_ints
 
 
 def is_macaulay(h: IntFun) -> bool:
@@ -140,8 +140,7 @@ class Decomposition(_Layered):
     def validate(self, type_a: int) -> None:
         """Check all structural invariants for a decomposition of a
         function of the given type."""
-        if type(type_a) is not int:
-            raise TypeError(f"not an integer: {_quote(type_a)}")
+        _require_ints(type_a)
         if type_a < 2:
             raise ValueError("decomposition needs type >= 2")
         # a layer off degree 0 is not an O-sequence, nor is ()

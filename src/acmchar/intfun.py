@@ -20,6 +20,14 @@ def _quote(x) -> str:
     return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
 
 
+def _require_ints(*xs) -> None:
+    """Raise TypeError naming the first x whose type is not exactly int:
+    floats, bools and strings are rejected, never coerced or truncated."""
+    for x in xs:
+        if type(x) is not int:
+            raise TypeError(f"not an integer: {_quote(x)}")
+
+
 class ConstantTailError(ValueError):
     """A primitive was requested for a function whose values do not sum to
     zero, so the result would be constant (nonzero) for large arguments."""
@@ -72,10 +80,9 @@ class IntFun(_Frozen):
 
     def __init__(self, offset: int = 0, values: tuple[int, ...] = ()):
         vals = tuple(values)
-        # exact type test: floats, bools and strings are rejected, not coerced
+        # one set test on the fast path; the helper only names the bad value
         if not {type(offset), *map(type, vals)} <= {int}:
-            bad = next(x for x in (offset, *vals) if type(x) is not int)
-            raise TypeError(f"not an integer: {_quote(bad)}")
+            _require_ints(offset, *vals)
         # strip leading zeros, shifting the offset
         start = 0
         while start < len(vals) and vals[start] == 0:
@@ -93,6 +100,7 @@ class IntFun(_Frozen):
     # -- basic queries ----------------------------------------------------
 
     def __call__(self, n: int) -> int:
+        _require_ints(n)
         i = n - self.offset
         if 0 <= i < len(self.values):
             return self.values[i]
@@ -147,6 +155,7 @@ class IntFun(_Frozen):
 
     def shift(self, d: int) -> "IntFun":
         """The function  n -> f(n + d)."""
+        _require_ints(d)
         if not self.values:
             return self
         return IntFun(self.offset - d, self.values)

@@ -1,8 +1,11 @@
 """Command-line interface: verbs, output formats and exit codes."""
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +278,22 @@ class TestEnumerateVerb:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: degree bound below the minimal curve degree\n"
+
+    @pytest.mark.parametrize("form", ["--json", "--verbose"])
+    def test_closed_pipe_ends_quietly(self, form):
+        """A reader that stops early (as ``| head -1`` does) ends the
+        listing with exit 1 and nothing on stderr."""
+        env = {**os.environ, "PYTHONPATH": str(Path(acmchar.__file__).parents[1])}
+        with subprocess.Popen(
+                [sys.executable, "-m", "acmchar.cli", "enumerate",
+                 "--max-degree", "32", form],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(64)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert len(head) == 64
+        assert (code, err) == (1, b"")
 
     def test_json_digest_degree_32(self, capsys):
         code = run(["enumerate", "--max-degree", "32", "--json"])

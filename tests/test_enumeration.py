@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import time
 from itertools import combinations, product
 
@@ -36,6 +37,7 @@ from acmchar.enumeration import (
     _degree_components,
     _layer_lengths,
     _part_json,
+    _split,
     _write_json,
 )
 
@@ -176,7 +178,7 @@ class TestWalk:
                 rows = sum(1 for _ in _curve_rows(16, nondegenerate))
                 assert gc.collect() == 0
                 assert rows == len(enumerate_acm_curves(16, nondegenerate).entries)
-            _write_json(io.StringIO(), _curve_rows(16))
+            _write_json(io.StringIO(), *_split(_curve_rows(16)))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -339,6 +341,44 @@ class TestPartEncoding:
 
     def test_write_json_of_empty_table(self):
         assert self.written(DGTable(())) == '{"beyond_paper": [], "pairs": []}\n'
+
+    def test_write_json_of_entries_out_of_order(self):
+        """write_json partitions a table as split() does, whatever the
+        order of its entries: (5, 99) is beyond the list even after a
+        pair of degree 11."""
+        dec = Codim3Decomposition((F(-1, -1, 2), F(-1, 1)))
+        table = DGTable((DGEntry(11, 0, (dec,)), DGEntry(5, 99, (dec,))))
+        assert json.loads(self.written(table))["beyond_paper"][0]["g"] == 99
+        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_write_json_of_shuffled_tables(self, seed):
+        entries = list(enumerate_acm_curves(13, nondegenerate=False).entries)
+        random.Random(seed).shuffle(entries)
+        table = DGTable(tuple(entries))
+        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+
+
+class TestSplit:
+    @pytest.mark.parametrize("nondegenerate", [True, False])
+    @pytest.mark.parametrize("max_degree", [10, 11, 16])
+    def test_reads_ahead_one_row_past_the_list(self, max_degree, nondegenerate):
+        """_split pulls the rows up to the first of degree > 10 and no
+        more, and gives the two parts of the table's split() in order."""
+        pulled = []
+
+        def counted():
+            for row in _curve_rows(max_degree, nondegenerate):
+                pulled.append(row)
+                yield row
+
+        beyond, listed = _split(counted())
+        assert sum(row[0] > 10 for row in pulled) == (max_degree > 10)
+        want_listed, want_beyond = enumerate_acm_curves(
+            max_degree, nondegenerate).split()
+        assert [(d, g) for d, g, _ in beyond] == [(e.d, e.g) for e in want_beyond]
+        assert [(d, g) for d, g, _ in listed] == [(e.d, e.g) for e in want_listed]
+        assert len(pulled) == len(want_listed) + len(want_beyond)
 
 
 # sha256 of json.dumps(enumerate_acm_curves(D).to_json(), sort_keys=True)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import acmchar as ac
 from acmchar import ConstantTailError, IntFun, indicator
 
 intfuns = st.builds(
@@ -211,3 +212,53 @@ class TestSerialization:
             f = IntFun(rng.randint(-40, 40),
                        tuple(rng.randint(-3, 3) for _ in range(5)))
             assert IntFun.parse(str(f)) == f
+
+
+def _integer_parameters():
+    """(name, call, args) for every public function with an integer
+    parameter; each int in args is one parameter to probe.  ``upper`` is
+    probed through ``macaulay_expand``: a float or bool equal to an int
+    already in upper's cache gets that int's answer (a documented quirk)."""
+    gamma = IntFun(0, (-1, -2, 0, 3))  # codim 3, s0 = 2, r = 1
+    return [
+        ("IntFun", IntFun, (0, (1,))),
+        ("IntFun.values", lambda *v: IntFun(0, v), (1, 2)),
+        ("IntFun.shift", IntFun(0, (1, 2)).shift, (1,)),
+        ("IntFun.__call__", IntFun(0, (1, 2)), (1,)),
+        ("indicator", indicator, (1,)),
+        ("binom", ac.binom, (5, 2)),
+        ("macaulay_expand", ac.macaulay_expand, (5, 2)),
+        ("MacaulayExpansion", lambda *t: ac.MacaulayExpansion((t,)), (5, 2)),
+        ("Decomposition.validate",
+         ac.decompose(IntFun(0, (1, 3, 3))).validate, (3,)),
+        ("hypersurface_char", ac.hypersurface_char, (2,)),
+        ("complete_intersection_char", ac.complete_intersection_char, (2, 3)),
+        ("biliaison", ac.biliaison, (gamma, gamma, 1)),
+        ("check_necessary", ac.check_necessary, (gamma, 3)),
+        ("s1_general", ac.s1_general, (gamma, 3)),
+        ("resolution_char", ac.resolution_char, (gamma, 3)),
+        ("gamma_from_resolution", ac.gamma_from_resolution,
+         (ac.resolution_char(gamma, 3), 3)),
+        ("postulation_values", ac.postulation_values, (gamma, 1, 2)),
+        ("hilbert_polynomial", ac.hilbert_polynomial, (gamma, 1)),
+        ("s1_via_cor37", ac.s1_via_cor37, (ac.decompose_codim3(gamma), 2)),
+        ("plane_union_char", ac.plane_union_char, (2, 3)),
+        ("enumerate_positive_characters", ac.enumerate_positive_characters,
+         (4, 1, 4)),
+        ("enumerate_acm_curves", ac.enumerate_acm_curves, (4,)),
+    ]
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, -1.5], ids=repr)
+@pytest.mark.parametrize("call, args, position", [
+    pytest.param(call, args, i, id=f"{name}-{i}")
+    for name, call, args in _integer_parameters()
+    for i, x in enumerate(args) if type(x) is int])
+def test_every_integer_parameter_refuses_non_integers(call, args, position, bad):
+    """Each public integer parameter raises the one TypeError of
+    intfun._require_ints before any range check can raise a ValueError."""
+    call(*args)  # the probe's base call is valid
+    args = args[:position] + (bad,) + args[position + 1:]
+    with pytest.raises(TypeError) as info:
+        call(*args)
+    assert str(info.value) == f"not an integer: {bad!r}"

@@ -63,6 +63,22 @@ def _functions(file_name):
             if name == file_name and isinstance(node, ast.FunctionDef)]
 
 
+def test_one_owner_for_the_integer_rule():
+    """Every exact-int check goes through ``intfun._require_ints``: the
+    package compares ``type(...)`` with ``int`` only inside it.
+    ``IntFun.__init__``'s set test is its fast path and calls the helper
+    to name the bad value."""
+    found = [f"{name}:{f.name}" for name, f in _nodes()
+             if isinstance(f, ast.FunctionDef)
+             for node in ast.walk(f)
+             if isinstance(node, ast.Compare)
+             and any(isinstance(x, ast.Call) and isinstance(x.func, ast.Name)
+                     and x.func.id == "type" for x in (node.left, *node.comparators))
+             and any(isinstance(x, ast.Name) and x.id == "int"
+                     for x in (node.left, *node.comparators))]
+    assert found == ["intfun.py:_require_ints"]
+
+
 def test_only_run_returns_exit_codes():
     """The CLI handlers print and return nothing; ``run`` alone maps
     their outcome to an exit code."""
