@@ -82,9 +82,8 @@ def _largest_top(rem: int, k: int) -> int:
 def _greedy(alpha: int, i: int, least: int) -> tuple[list[tuple[int, int]], int]:
     """The greedy i-binomial terms (m, k) of alpha >= least while the
     remainder rem exceeds k, and that remainder.  From there every term is
-    C(k,k) = 1, so the expansion ends in rem such terms.  Types are checked
-    before signs, so a negative float is refused as a non-integer too."""
-    _require_ints(alpha, i)
+    C(k,k) = 1, so the expansion ends in rem such terms.  Its callers check
+    types first, so a negative float is refused as a non-integer too."""
     if alpha < least:
         raise ValueError(f"alpha must be >= {least}")
     if i <= 0:
@@ -102,6 +101,7 @@ def _greedy(alpha: int, i: int, least: int) -> tuple[list[tuple[int, int]], int]
 
 def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
     """Greedy i-binomial expansion of alpha >= 1."""
+    _require_ints(alpha, i)
     terms, rem = _greedy(alpha, i, 1)
     if len(terms) + rem > MAX_EXPANSION_TERMS:
         raise ValueError(f"expansion has more than {MAX_EXPANSION_TERMS} terms")
@@ -110,9 +110,15 @@ def macaulay_expand(alpha: int, i: int) -> MacaulayExpansion:
     return MacaulayExpansion(tuple(terms))
 
 
-@lru_cache(maxsize=None)
 def upper(alpha: int, i: int) -> int:
     """The Macaulay growth bound alpha^<i> (with 0^<i> = 0): each term
     C(m,k) of the expansion lifts to C(m+1,k+1), and each C(k,k) to 1."""
+    _require_ints(alpha, i)  # before the cache, where 25.0 would find 25
+    return _upper(alpha, i)
+
+
+@lru_cache(maxsize=None)
+def _upper(alpha: int, i: int) -> int:
+    """:func:`upper` on ints, cached."""
     terms, rem = _greedy(alpha, i, 0)
     return sum(comb(m + 1, k + 1) for m, k in terms) + rem

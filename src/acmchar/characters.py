@@ -69,6 +69,8 @@ class NecessaryCheck(_Frozen):
     __slots__ = ("ok", "s0", "failure")
 
     def __init__(self, ok: bool, s0: int | None, failure: str | None = None):
+        if s0 is not None:
+            _require_ints(s0)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "failure", failure)
@@ -98,13 +100,13 @@ def check_necessary(gamma: IntFun, codim: int) -> NecessaryCheck:
         return NecessaryCheck(False, None, "nonzero value in negative degree")
     if gamma.offset or v[0] != -1:
         return NecessaryCheck(False, 0, "value at degree 0 is not -1")
-    # the scan stops by len(v) = sup + 1: there gamma is 0 and the generic
-    # value is <= -1 for c >= 2, and for c = 1 it is C(n-1, -1) = 0 from
-    # n = 1 on while gamma(sup) != 0
+    # the scan stops before len(v) = sup + 1: v sums to 0 with v[0] = -1, so
+    # it holds a positive value, which no generic value (<= -1) is for c >= 2,
+    # and for c = 1, where the generic value is 0 from n = 1 on, v[sup] != 0
     k, s0, x, g = codim - 2, 0, -1, -1
     while x == g:
         s0 += 1
-        x = v[s0] if s0 < len(v) else 0
+        x = v[s0]
         g = -math.comb(s0 + k, k) if k >= 0 else 0
     if x <= g:
         return NecessaryCheck(False, s0, f"value at s0={s0} too negative")
@@ -229,6 +231,7 @@ class CurveInvariants(_Frozen):
     __slots__ = ("d", "g")
 
     def __init__(self, d: int, g: int):
+        _require_ints(d, g)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
 
@@ -237,6 +240,7 @@ class SurfaceInvariants(_Frozen):
     __slots__ = ("d", "delta", "p_a")
 
     def __init__(self, d: int, delta: int, p_a: int):
+        _require_ints(d, delta, p_a)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "p_a", p_a)

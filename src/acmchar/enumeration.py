@@ -129,6 +129,7 @@ class DGEntry(_Frozen):
 
     def __init__(self, d: int, g: int,
                  witnesses: tuple[Codim3Decomposition, ...]):
+        _require_ints(d, g)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "witnesses", witnesses)

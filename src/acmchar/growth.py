@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement, count
 from math import comb
 import operator
 
-from .binomial import upper
+from .binomial import _upper
 from .intfun import IntFun, _Frozen, _quote, _require_ints
 
 
@@ -27,7 +27,7 @@ def _is_o_sequence(v: tuple[int, ...]) -> bool:
     if not v or v[0] != 1 or min(v) < 0:
         return False
     # h(n+1) <= h(n)^<n> for 1 <= n < sup; h(sup+1) = 0 meets every bound
-    return all(map(operator.le, v[2:], map(upper, v[1:], count(1))))
+    return all(map(operator.le, v[2:], map(_upper, v[1:], count(1))))
 
 
 class MacaulayFn(_Frozen):
@@ -176,7 +176,9 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
 
 
 def _peel(v: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
-    """The checked layers of the O-sequence v of type a >= 2, from degree 0."""
+    """Layers of v = (1, a, ...), a >= 2; ValueError iff v is not an O-sequence."""
+    if any(map(operator.gt, v, map(comb, count(a - 1), count()))):
+        raise ValueError("a value exceeds the generic bound C(a+n-1, n)")
     layers = []
     while True:
         # the remainder from degree 0; no layer exceeds C(a+m-1, m), so v[0] = 1

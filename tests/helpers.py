@@ -45,6 +45,13 @@ def macaulay_functions(type_a, max_mass):
     return out
 
 
+def growth_box(a, length):
+    """Every (1, a, x_2, ..., x_{length-1}) with 0 <= x_n <= C(a+n-1, n) + 1:
+    every value up to one past the generic one, trailing zeros included."""
+    return [(1, a, *xs) for xs in product(
+        *(range(binom(a + n - 1, n) + 2) for n in range(2, length)))]
+
+
 def small_characters(max_pos, bound):
     """All nonzero functions supported on [0, max_pos] with entries in
     [-bound, bound] and total sum zero."""

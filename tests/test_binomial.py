@@ -41,6 +41,10 @@ class TestExpansion:
         assert exp.terms == ((6, 3), (3, 2), (2, 1))
         assert str(exp) == "C(6,3) + C(3,2) + C(2,1)"
 
+    def test_last_index_must_be_positive(self):
+        with pytest.raises(ValueError, match="last index must be >= 1"):
+            MacaulayExpansion(((3, 1), (2, 0)))
+
     def test_exact_binomial_is_single_term(self):
         assert macaulay_expand(binom(9, 4), 4).terms == ((9, 4),)
 
@@ -127,9 +131,10 @@ class TestUpper:
 
     def test_rejects_non_integers_without_caching_them(self):
         """A float equal to an int would otherwise be cached under the
-        int's key and answer every later call with a float."""
-        upper.cache_clear()
-        for alpha, i in [(2.0, 1), (True, 3), (1e20, 2), (5, 2.0)]:
+        int's key and answer every later call with a float, and a float or
+        bool equal to a cached int would get that int's answer."""
+        for alpha, i in [(2.0, 1), (True, 3), (1e20, 2), (5, 2.0), (25.0, 3)]:
+            upper(int(alpha), int(i))  # the equal int is cached first
             with pytest.raises(TypeError, match="not an integer"):
                 upper(alpha, i)
         with pytest.raises(TypeError, match="not an integer"):

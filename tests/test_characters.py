@@ -92,6 +92,11 @@ class TestNecessaryCheck:
     def test_rejects_negative_degree_support(self):
         assert not check_necessary(IntFun(-2, (-1, 0, 1)), 3)
 
+    @pytest.mark.parametrize("codim", [0, -1])
+    def test_codim_must_be_positive(self, codim):
+        with pytest.raises(ValueError, match="codim must be >= 1"):
+            check_necessary(F(-1, 1), codim)
+
 
 class TestS1:
     def test_codim2_first_positive(self):
@@ -196,6 +201,16 @@ class TestPostulation:
         assert postulation_values(gamma, 1, 1) == -5
         assert postulation_values(gamma, 1, 0) == -1
         assert postulation_values(gamma, 1, -1) == 0
+
+    @pytest.mark.parametrize("call, args", [(postulation_values, (-1, 2)),
+                                            (hilbert_polynomial, (-1,))])
+    def test_dimension_must_be_nonnegative(self, call, args):
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            call(F(-1, 1), *args)
+
+    def test_zero_function_keeps_its_constant_term(self):
+        for m in range(4):
+            assert hilbert_polynomial(IntFun(), m) == (Fraction(0),)
 
     def test_tail_is_negative_hilbert_polynomial(self):
         gamma = F(-1, -2, -1, 4)

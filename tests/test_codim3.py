@@ -5,6 +5,7 @@ import pytest
 from acmchar import (
     Codim3Decomposition,
     IntFun,
+    QuadricCheck,
     char_s0,
     check_necessary,
     check_prop36_bounds,
@@ -24,7 +25,7 @@ from acmchar import (
     s1_via_cor37,
 )
 
-from acmchar import growth
+from acmchar import codim3, growth
 
 from helpers import integral_quadric_pointwise, macaulay_functions, small_characters
 
@@ -58,10 +59,12 @@ class TestDecomposeCodim3:
         """The h-vector and its layers stay value tuples: the only IntFuns
         built are the r + 1 components, and none for a degenerate
         character, which is returned as it came.  The layers still get
-        every check of ``Decomposition.validate``, once."""
+        every check of ``Decomposition.validate``, once, and for type 3
+        they decide growth: h gets no check by Macaulay's bound first."""
         gamma = F(*gamma)
-        calls, checked = [], []
+        calls, checked, bounded = [], [], []
         init, check = IntFun.__init__, growth._check_layers
+        is_o_sequence = codim3._is_o_sequence
 
         def counted(self, *args):
             calls.append(args)
@@ -71,14 +74,21 @@ class TestDecomposeCodim3:
             checked.append((tuple(layers), type_a))
             check(layers, type_a)
 
+        def counted_bound(v):
+            bounded.append(v)
+            return is_o_sequence(v)
+
         monkeypatch.setattr(IntFun, "__init__", counted)
         monkeypatch.setattr(growth, "_check_layers", counted_check)
+        monkeypatch.setattr(codim3, "_is_o_sequence", counted_bound)
         dec = decompose_codim3(gamma)
         assert len(calls) == built == (dec.r + 1 if dec.r else 0)
         if built:
             assert checked == [(tuple(h_from_gamma(p).values for p in dec.parts), 3)]
+            assert bounded == []
         else:
             assert dec.parts[0] is gamma and checked == []
+            assert bounded == [h_from_gamma(gamma).values]
 
     def test_degenerate_character_kept_whole(self):
         gamma = F(-1, -1, 2)  # h-vector of type 2
@@ -149,6 +159,10 @@ class TestDecomposeCodim3:
         with pytest.raises(ValueError):
             Codim3Decomposition((F(-1, -1, 2), F(-1, 0, 1))).validate()
 
+    def test_validate_rejects_a_component_that_is_not_positive(self):
+        with pytest.raises(ValueError, match="component 0 is not a positive"):
+            Codim3Decomposition((F(-1, 2, -1),)).validate()
+
 
 class TestS1Shortcut:
     def test_example(self):
@@ -205,6 +219,14 @@ class TestIntervalBounds:
         tampered = gamma + IntFun(4, (-1,)) + IntFun(5, (1,))
         assert not check_prop36_bounds(tampered, dec)
 
+    def test_fails_just_after_s0(self):
+        """With r = 1 the only window that sees this tampered decomposition
+        is gamma >= -s0(X) = -2 on [2, s0(gamma_0)) = [2, 4), where
+        gamma(2) = -3."""
+        gamma = F(-1, -2, -3, 6)
+        dec = Codim3Decomposition((F(-1, -1, -1, -1, 4), F(-1, 1)))
+        assert not check_prop36_bounds(gamma, dec)
+
     def test_zero_function_passes(self):
         # every bound is <= 0, so the zero function meets them all
         for gamma in (F(-1, -2, -1, 4), F(-1, 1)):
@@ -254,6 +276,12 @@ class TestQuadric:
             quadric_check(F(-1, -1, 2))
         with pytest.raises(ValueError):
             quadric_check(F(-1, -2, -3, 6))
+
+    def test_truth_is_validity(self):
+        assert quadric_check(F(-1, -2, -1, 4))
+        # h = (1, 3, 2, 4) breaks growth: 4 > 2^<2> = 2
+        q = quadric_check(F(-1, -2, 1, -2, 4))
+        assert not q and q == QuadricCheck(False, 1, -1)
 
     def test_invalid_shape(self):
         gamma = F(-1, -2, 1, -2, 4)

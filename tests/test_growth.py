@@ -13,9 +13,17 @@ from acmchar import (
     s0_of,
     type12_shape,
 )
-from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2, _peel
+from acmchar.growth import (
+    HIGHER_TYPE,
+    NOT_MACAULAY,
+    TYPE0,
+    TYPE1,
+    TYPE2,
+    _is_o_sequence,
+    _peel,
+)
 
-from helpers import macaulay_functions
+from helpers import growth_box, macaulay_functions
 
 
 def F(*vals):
@@ -110,6 +118,25 @@ class TestDecompose:
         the remainder (1, 0) of h = (1, 3, 3) loses its zero."""
         assert _peel((1, 3, 3), 3) == [(1, 2, 3), (1,)]
         assert _peel((1, 3, 6, 4, 1), 3) == [(1, 2, 3, 4, 1), (1, 2), (1,)]
+
+    @pytest.mark.parametrize("a, length, size", [(2, 7, 15120), (3, 6, 37536),
+                                                 (4, 5, 9768)])
+    def test_peel_decides_growth(self, a, length, size):
+        """The peel raises ValueError, and nothing else, exactly for the
+        sequences that are not O-sequences.  Its generic bound is needed:
+        the layers of (1, 3, 6, 11, 15) pass their checks, but they drop
+        mass, and 11 > 6^<2> = 10."""
+        vs = growth_box(a, length)
+        assert len(vs) == size
+        for v in vs:
+            try:
+                _peel(v, a)
+            except ValueError:
+                assert not _is_o_sequence(v), v
+            else:
+                assert _is_o_sequence(v), v
+        with pytest.raises(ValueError, match="generic bound"):
+            _peel((1, 3, 6, 11, 15), 3)
 
     def test_layer_shifts_recompose(self):
         dec = decompose(F(1, 3, 6))

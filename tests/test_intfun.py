@@ -215,10 +215,10 @@ class TestSerialization:
 
 
 def _integer_parameters():
-    """(name, call, args) for every public function with an integer
-    parameter; each int in args is one parameter to probe.  ``upper`` is
-    probed through ``macaulay_expand``: a float or bool equal to an int
-    already in upper's cache gets that int's answer (a documented quirk)."""
+    """(name, call, args) for every public function and record with an
+    integer parameter; each int in args is one parameter to probe.  The
+    base call of ``upper`` caches (3, 1), which equals the probes (3.0, 1)
+    and (3, True)."""
     gamma = IntFun(0, (-1, -2, 0, 3))  # codim 3, s0 = 2, r = 1
     return [
         ("IntFun", IntFun, (0, (1,))),
@@ -228,6 +228,7 @@ def _integer_parameters():
         ("indicator", indicator, (1,)),
         ("binom", ac.binom, (5, 2)),
         ("macaulay_expand", ac.macaulay_expand, (5, 2)),
+        ("upper", ac.upper, (3, 1)),
         ("MacaulayExpansion", lambda *t: ac.MacaulayExpansion((t,)), (5, 2)),
         ("Decomposition.validate",
          ac.decompose(IntFun(0, (1, 3, 3))).validate, (3,)),
@@ -246,6 +247,11 @@ def _integer_parameters():
         ("enumerate_positive_characters", ac.enumerate_positive_characters,
          (4, 1, 4)),
         ("enumerate_acm_curves", ac.enumerate_acm_curves, (4,)),
+        ("NecessaryCheck", ac.NecessaryCheck, (True, 2)),
+        ("CurveInvariants", ac.CurveInvariants, (3, 0)),
+        ("SurfaceInvariants", ac.SurfaceInvariants, (3, -3, 0)),
+        ("QuadricCheck", ac.QuadricCheck, (True, 1, 3)),
+        ("DGEntry", ac.DGEntry, (3, 0, ())),
     ]
 
 

@@ -171,18 +171,21 @@ def _process_caches(node, file_name):
 
 def test_module_level_caches_have_measured_traffic():
     """A module-level cache keeps every entry for the life of the process,
-    so each one must earn its memory.  ``binomial.upper``'s is worth about
-    12% of the analyze-d24 per-query time: in process on a 2-core machine
-    with CPython 3.11, the median over 8 alternating runs was 191 us with
-    it and 217 us without; each query makes 17.4 calls, and a hit takes
-    0.25 us where a computed ``upper(10, 3)`` takes 2.1 us.  The lex
-    oracle builds its monomial lists per call: the CLI calls it once per
-    process and no benchmark workload calls it.  A cache made inside a
+    so each one must earn its memory.  ``binomial._upper`` (``upper``
+    after its integer check) is measured in process on a 2-core machine
+    with CPython 3.11.  An analyze-d24 query makes 7.5 calls, all from the
+    peel's layer checks, and 99.8% hit; a hit takes 0.2 us where a computed
+    ``upper(10, 3)`` takes 1.6 us.  In growth-bigint, ``is_macaulay`` on a
+    batch of 288 near-maximal h-vectors (whose low-degree values repeat)
+    hits on 36% of its calls, and the batch took 5.0 ms with the cache and
+    5.9 ms without (medians of 8 alternating runs over 18 batches).  The
+    lex oracle builds its monomial lists per call: the CLI calls it once
+    per process and no benchmark workload calls it.  A cache made inside a
     function lives for one call and is not counted here."""
     found = {cached for path in SOURCES
              for cached in _process_caches(ast.parse(path.read_text()),
                                            path.name)}
-    assert found == {"binomial.py:upper"}
+    assert found == {"binomial.py:_upper"}
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

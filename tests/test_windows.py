@@ -36,6 +36,7 @@ from helpers import (
     char_s0_pointwise,
     checked_s0_pointwise,
     decompose_codim3_composed,
+    growth_box,
     integral_screen_pointwise,
     is_macaulay_pointwise,
     macaulay_functions,
@@ -262,6 +263,16 @@ class TestPeel:
             assert got == want, gamma
             accepted += type(want) is tuple and type(want[0]) is IntFun
         assert len(chars) > 3000 and len(chars) < accepted < len(inputs)
+
+    def test_decompose_codim3_on_a_growth_box(self):
+        """Every h = (1, 3, x_2, ..., x_5) with 0 <= x_n <= C(n+2, 2) + 1,
+        where the peel alone decides growth."""
+        hs = growth_box(3, 6)
+        assert len(hs) == 37536
+        for h in hs:
+            gamma = gamma_from_h(IntFun(0, h))
+            assert (outcome(lambda g: decompose_codim3(g).parts, gamma)
+                    == outcome(decompose_codim3_composed, gamma)), h
 
     @HYP
     @given(gammas)
