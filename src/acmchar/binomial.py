@@ -117,8 +117,8 @@ def upper(alpha: int, i: int) -> int:
     return _upper(alpha, i)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def _upper(alpha: int, i: int) -> int:
-    """:func:`upper` on ints, cached."""
+    """:func:`upper` on ints, cached up to a bound no workload reaches."""
     terms, rem = _greedy(alpha, i, 0)
     return sum(comb(m + 1, k + 1) for m, k in terms) + rem

@@ -12,7 +12,7 @@ import math
 import operator
 
 from .binomial import binom
-from .intfun import ConstantTailError, IntFun, _Frozen, _require_ints
+from .intfun import ConstantTailError, IntFun, _Frozen, _require_ints, _require_type
 
 
 # -- conversions ----------------------------------------------------------
@@ -69,8 +69,10 @@ class NecessaryCheck(_Frozen):
     __slots__ = ("ok", "s0", "failure")
 
     def __init__(self, ok: bool, s0: int | None, failure: str | None = None):
+        _require_type(ok, (bool,), "a bool")
         if s0 is not None:
             _require_ints(s0)
+        _require_type(failure, (str, type(None)), "a string or None")
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "failure", failure)

@@ -14,6 +14,7 @@ import sys
 from . import (
     IntFun,
     biliaison,
+    char_s0,
     check_prop36_bounds,
     curve_invariants,
     decompose,
@@ -21,17 +22,15 @@ from . import (
     gamma_from_h,
     gamma_from_resolution,
     h_from_gamma,
-    integral_screen,
     is_macaulay,
     lex_oracle,
     macaulay_expand,
     quadric_check,
     resolution_char,
-    s1_general,
-    s1_via_cor37,
     surface_invariants,
     upper,
 )
+from .codim3 import _integral
 from .enumeration import _curve_rows, _split, _write_json
 
 
@@ -95,17 +94,17 @@ def _cmd_analyze_codim3(args):
     gamma = _parse_fun(args.function)
     dec = decompose_codim3(gamma)
     s0 = dec.s0
-    s1 = s1_general(gamma, 3)
+    s1 = char_s0(dec.parts[-1]) + dec.r  # Cor 3.7, which holds at r = 0 too
     payload = {
         "s0": s0,
         "s1": s1,
         "r": dec.r,
         "decomposition": [p.to_json() for p in dec.parts],
         "bounds_ok": check_prop36_bounds(gamma, dec),
-        "integral_screen": integral_screen(gamma),
+        "integral_screen": _integral(gamma.values, s0, s1),
     }
     if dec.r >= 1:
-        payload["s1_from_decomposition"] = s1_via_cor37(dec, s0)
+        payload["s1_from_decomposition"] = s1
     lines = [f"s0 = {s0}  s1 = {s1}  r = {dec.r}"]
     lines += [f"gamma_{i} = {p}" for i, p in enumerate(dec.parts)]
     lines.append(f"interval bounds: {'ok' if payload['bounds_ok'] else 'violated'}")

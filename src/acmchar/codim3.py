@@ -15,7 +15,7 @@ from .characters import (
     is_positive_character,
 )
 from .growth import _Layered, _is_o_sequence, _peel
-from .intfun import IntFun, _Frozen, _require_ints
+from .intfun import IntFun, _Frozen, _require_ints, _require_type
 
 
 class Codim3Decomposition(_Layered):
@@ -37,28 +37,24 @@ def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
     """Split a codim-3 postulation character into positive components.
 
     Checks only the defining condition: gamma = -diff(h) for an O-sequence
-    h of type <= 3 (``check_necessary`` follows from it).  The generic bound
-    and the peel of h into checked layers decide type 3, Macaulay's bound the
-    rest; each layer's -diff is a component, and type <= 2 is returned whole.
+    h of type <= 3 (``check_necessary`` follows from it).  Macaulay's bound
+    decides growth for every type; the peel then splits a type-3 h into
+    layers, each layer's -diff is a component, and type <= 2 is returned whole.
     """
     try:
         v = _h_values(gamma)
     except ValueError as exc:
         raise ValueError(f"not a codim-3 ACM character: {exc}") from exc
+    if gamma.offset or not _is_o_sequence(v):  # h(0) = 0 past offset 0
+        raise ValueError("not a codim-3 ACM character: h-vector violates growth")
     a = v[1] if len(v) > 1 else 0
-    try:
-        if gamma.offset or a != 3 and not _is_o_sequence(v):  # h(0) = 0 past offset 0
-            raise ValueError("not an O-sequence")
-        layers = _peel(v, a) if a == 3 else ()
-    except ValueError as exc:
-        raise ValueError("not a codim-3 ACM character: h-vector violates growth") from exc
     if a > 3:
         raise ValueError(f"not a codim-3 ACM character: h-vector of type {a}")
     if a <= 2:
         return Codim3Decomposition((gamma,))
     return Codim3Decomposition(tuple(  # each layer's -diff
         IntFun(0, tuple(map(operator.sub, (0, *p), (*p, 0))))
-        for p in layers))
+        for p in _peel(v, 3)))
 
 
 def s1_via_cor37(dec: Codim3Decomposition, s0: int) -> int:
@@ -109,6 +105,7 @@ class QuadricCheck(_Frozen):
     __slots__ = ("valid", "t", "s")
 
     def __init__(self, valid: bool, t: int, s: int):
+        _require_type(valid, (bool,), "a bool")
         _require_ints(t, s)
         object.__setattr__(self, "valid", valid)
         object.__setattr__(self, "t", t)

@@ -143,26 +143,22 @@ class Decomposition(_Layered):
         _require_ints(type_a)
         if type_a < 2:
             raise ValueError("decomposition needs type >= 2")
+        r, want = self.r, type_a - 1
+        if r < 1:
+            raise ValueError("decomposition needs at least two layers")
         # a layer off degree 0 is not an O-sequence, nor is ()
-        _check_layers([() if p.offset else p.values for p in self.parts], type_a)
-
-
-def _check_layers(layers: list[tuple[int, ...]], type_a: int) -> None:
-    """:meth:`Decomposition.validate` on the layers' values from degree 0."""
-    r, want = len(layers) - 1, type_a - 1
-    if r < 1:
-        raise ValueError("decomposition needs at least two layers")
-    for i, p in enumerate(layers):
-        if not _is_o_sequence(p):
-            raise ValueError(f"layer {i} is not a Macaulay function")
-        t = p[1] if len(p) > 1 else 0
-        if i < r and t != want:
-            raise ValueError(f"layer {i} must have type {want}")
-        if i == r and t > want:
-            raise ValueError(f"last layer must have type <= {want}")
-    for i in range(1, r + 1):  # a layer's sup is len - 1
-        if len(layers[i]) >= _s0(layers[i - 1]):
-            raise ValueError(f"layer {i} overlaps layer {i - 1}")
+        layers = [() if p.offset else p.values for p in self.parts]
+        for i, p in enumerate(layers):
+            if not _is_o_sequence(p):
+                raise ValueError(f"layer {i} is not a Macaulay function")
+            t = p[1] if len(p) > 1 else 0
+            if i < r and t != want:
+                raise ValueError(f"layer {i} must have type {want}")
+            if i == r and t > want:
+                raise ValueError(f"last layer must have type <= {want}")
+        for i in range(1, r + 1):  # a layer's sup is len - 1
+            if len(layers[i]) >= _s0(layers[i - 1]):
+                raise ValueError(f"layer {i} overlaps layer {i - 1}")
 
 
 def decompose(h: IntFun | MacaulayFn) -> Decomposition:
@@ -176,9 +172,8 @@ def decompose(h: IntFun | MacaulayFn) -> Decomposition:
 
 
 def _peel(v: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
-    """Layers of v = (1, a, ...), a >= 2; ValueError iff v is not an O-sequence."""
-    if any(map(operator.gt, v, map(comb, count(a - 1), count()))):
-        raise ValueError("a value exceeds the generic bound C(a+n-1, n)")
+    """Layers of v = (1, a, ...), a >= 2, which must be an O-sequence: the
+    peel builds the layers and checks nothing."""
     layers = []
     while True:
         # the remainder from degree 0; no layer exceeds C(a+m-1, m), so v[0] = 1
@@ -194,7 +189,6 @@ def _peel(v: tuple[int, ...], a: int) -> list[tuple[int, ...]]:
             v = v[:-1]
         if len(v) < 2 or v[1] < a:
             layers.append(v)
-            _check_layers(layers, a)
             return layers
 
 

@@ -28,6 +28,13 @@ def _require_ints(*xs) -> None:
             raise TypeError(f"not an integer: {_quote(x)}")
 
 
+def _require_type(x, kinds: tuple[type, ...], what: str) -> None:
+    """The rule of :func:`_require_ints` for the records' other fields:
+    raise TypeError naming x unless its type is exactly one of kinds."""
+    if type(x) not in kinds:
+        raise TypeError(f"not {what}: {_quote(x)}")
+
+
 class ConstantTailError(ValueError):
     """A primitive was requested for a function whose values do not sum to
     zero, so the result would be constant (nonzero) for large arguments."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from acmchar import MacaulayExpansion, binom, macaulay_expand, upper
-from acmchar.binomial import MAX_EXPANSION_TERMS
+from acmchar.binomial import MAX_EXPANSION_TERMS, _upper
 
 
 class TestBinom:
@@ -160,6 +160,16 @@ class TestUpper:
         with pytest.raises(TypeError, match="not an integer") as info:
             call(alpha, i)
         assert len(str(info.value)) < 100
+
+    def test_cache_is_bounded(self):
+        """The cache keeps at most 2**16 entries, about ten times what one
+        growth-bigint child fills, so a long-lived process cannot grow it
+        without end.  upper(n, n) = n has no expansion term to compute."""
+        bound = _upper.cache_info().maxsize
+        assert bound == 2**16
+        for n in range(10**6, 10**6 + bound + 100):
+            assert upper(n, n) == n
+        assert _upper.cache_info().currsize == bound
 
     def test_small_values(self):
         # row h(n) -> max h(n+1) at n = 1 is a*(a+1)/2

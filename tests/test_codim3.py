@@ -58,37 +58,36 @@ class TestDecomposeCodim3:
     def test_builds_one_intfun_per_component(self, monkeypatch, gamma, built):
         """The h-vector and its layers stay value tuples: the only IntFuns
         built are the r + 1 components, and none for a degenerate
-        character, which is returned as it came.  The layers still get
-        every check of ``Decomposition.validate``, once, and for type 3
-        they decide growth: h gets no check by Macaulay's bound first."""
+        character, which is returned as it came.  Macaulay's bound decides
+        growth, once and on h, for every type; the peel checks nothing."""
         gamma = F(*gamma)
-        calls, checked, bounded = [], [], []
-        init, check = IntFun.__init__, growth._check_layers
-        is_o_sequence = codim3._is_o_sequence
+        calls, bounded = [], []
+        init, is_o_sequence = IntFun.__init__, codim3._is_o_sequence
 
         def counted(self, *args):
             calls.append(args)
             init(self, *args)
-
-        def counted_check(layers, type_a):
-            checked.append((tuple(layers), type_a))
-            check(layers, type_a)
 
         def counted_bound(v):
             bounded.append(v)
             return is_o_sequence(v)
 
         monkeypatch.setattr(IntFun, "__init__", counted)
-        monkeypatch.setattr(growth, "_check_layers", counted_check)
+        monkeypatch.setattr(growth, "_is_o_sequence", counted_bound)
         monkeypatch.setattr(codim3, "_is_o_sequence", counted_bound)
         dec = decompose_codim3(gamma)
         assert len(calls) == built == (dec.r + 1 if dec.r else 0)
-        if built:
-            assert checked == [(tuple(h_from_gamma(p).values for p in dec.parts), 3)]
-            assert bounded == []
-        else:
-            assert dec.parts[0] is gamma and checked == []
-            assert bounded == [h_from_gamma(gamma).values]
+        assert bounded == [h_from_gamma(gamma).values]
+        if not built:
+            assert dec.parts[0] is gamma
+
+    def test_rejects_growth_the_peel_would_miss(self):
+        """The peel of h = (1, 3, 6, 11, 15) raises nothing but drops mass,
+        as 11 > 6^<2> = 10: growth is decided before the peel runs."""
+        with pytest.raises(ValueError) as info:
+            decompose_codim3(gamma_from_h(F(1, 3, 6, 11, 15)))
+        assert str(info.value) == ("not a codim-3 ACM character: "
+                                   "h-vector violates growth")
 
     def test_degenerate_character_kept_whole(self):
         gamma = F(-1, -1, 2)  # h-vector of type 2
@@ -194,14 +193,17 @@ class TestS1Shortcut:
         assert str(info.value) == f"s0 must be 2 for this decomposition, not {s0}"
 
     def test_agrees_with_scan_on_universe(self):
-        for h in macaulay_functions(3, 12):
-            if h(1) != 3:
-                continue
-            gamma = gamma_from_h(h)
-            dec = decompose_codim3(gamma)
-            s0 = check_necessary(gamma, 3).s0
-            assert s0 == dec.s0
-            assert s1_via_cor37(dec, s0) == s1_general(gamma, 3)
+        """Cor 3.7, s1 = s0(gamma_r) + r, also holds at r = 0, where
+        ``analyze-codim3`` reads s1 off the decomposition too."""
+        for a in range(4):
+            for h in macaulay_functions(a, 12):
+                gamma = gamma_from_h(h)
+                dec = decompose_codim3(gamma)
+                s1 = s1_general(gamma, 3)
+                assert dec.s0 == check_necessary(gamma, 3).s0
+                assert char_s0(dec.parts[-1]) + dec.r == s1
+                if dec.r >= 1:
+                    assert s1_via_cor37(dec, dec.s0) == s1
 
 
 class TestIntervalBounds:

@@ -13,6 +13,7 @@ from acmchar import (
     s0_of,
     type12_shape,
 )
+from acmchar import growth
 from acmchar.growth import (
     HIGHER_TYPE,
     NOT_MACAULAY,
@@ -119,24 +120,31 @@ class TestDecompose:
         assert _peel((1, 3, 3), 3) == [(1, 2, 3), (1,)]
         assert _peel((1, 3, 6, 4, 1), 3) == [(1, 2, 3, 4, 1), (1, 2), (1,)]
 
-    @pytest.mark.parametrize("a, length, size", [(2, 7, 15120), (3, 6, 37536),
-                                                 (4, 5, 9768)])
-    def test_peel_decides_growth(self, a, length, size):
-        """The peel raises ValueError, and nothing else, exactly for the
-        sequences that are not O-sequences.  Its generic bound is needed:
-        the layers of (1, 3, 6, 11, 15) pass their checks, but they drop
-        mass, and 11 > 6^<2> = 10."""
-        vs = growth_box(a, length)
-        assert len(vs) == size
+    @pytest.mark.parametrize("a, length, size, grown", [
+        (2, 7, 15120, 120), (3, 6, 37536, 813), (4, 5, 9768, 941)])
+    def test_peel_builds_checked_layers(self, a, length, size, grown):
+        """The peel checks nothing, so its precondition is checked here:
+        the layers of every O-sequence in the box pass every check of
+        ``Decomposition.validate`` and recompose to it."""
+        box = growth_box(a, length)
+        vs = [v for v in box if _is_o_sequence(v)]
+        assert (len(box), len(vs)) == (size, grown)
         for v in vs:
-            try:
-                _peel(v, a)
-            except ValueError:
-                assert not _is_o_sequence(v), v
-            else:
-                assert _is_o_sequence(v), v
-        with pytest.raises(ValueError, match="generic bound"):
-            _peel((1, 3, 6, 11, 15), 3)
+            dec = Decomposition(tuple(IntFun(0, p) for p in _peel(v, a)))
+            dec.validate(a)
+            assert dec.recompose() == IntFun(0, v), v
+
+    def test_checks_h_once(self, monkeypatch):
+        """MacaulayFn decides growth; the peel adds no check of its own."""
+        checked, is_o_sequence = [], growth._is_o_sequence
+
+        def counted(v):
+            checked.append(v)
+            return is_o_sequence(v)
+
+        monkeypatch.setattr(growth, "_is_o_sequence", counted)
+        assert len(decompose(F(1, 3, 6, 4, 1)).parts) == 3
+        assert checked == [(1, 3, 6, 4, 1)]
 
     def test_layer_shifts_recompose(self):
         dec = decompose(F(1, 3, 6))

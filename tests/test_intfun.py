@@ -268,3 +268,23 @@ def test_every_integer_parameter_refuses_non_integers(call, args, position, bad)
     with pytest.raises(TypeError) as info:
         call(*args)
     assert str(info.value) == f"not an integer: {bad!r}"
+
+
+@pytest.mark.parametrize("call, bad, what", [
+    pytest.param(call, bad, what, id=f"{name}-{bad!r}")
+    for name, call, what, bads in [
+        ("NecessaryCheck.ok", lambda x: ac.NecessaryCheck(x, 2), "a bool",
+         [1, 0, None, "True", 1.0]),
+        ("NecessaryCheck.failure", lambda x: ac.NecessaryCheck(False, 2, x),
+         "a string or None", [0, False, b"too negative", ("too negative",)]),
+        ("QuadricCheck.valid", lambda x: ac.QuadricCheck(x, 1, 3), "a bool",
+         [1, 0, None, "True", 1.0]),
+    ]
+    for bad in bads])
+def test_record_flags_refuse_other_types(call, bad, what):
+    """The records' truth values are exactly bool and a failure is exactly
+    str or None, by the rule ``_require_ints`` keeps for their ints."""
+    with pytest.raises(TypeError) as info:
+        call(bad)
+    assert str(info.value) == f"not {what}: {bad!r}"
+

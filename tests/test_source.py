@@ -106,7 +106,7 @@ def test_intfun_arithmetic_reads_windows():
 # its IntFun arguments point by point
 WINDOW_SCANS = {
     "growth.py": ("is_macaulay", "_is_o_sequence", "s0_of", "_s0", "decompose",
-                  "_peel", "_check_layers"),
+                  "_peel"),
     "characters.py": ("gamma_from_h", "h_from_gamma", "_h_values", "char_s0",
                       "is_positive_character", "check_necessary", "_s0_s1"),
     "codim3.py": ("check_prop36_bounds", "integral_screen", "_integral",
@@ -170,18 +170,20 @@ def _process_caches(node, file_name):
 
 
 def test_module_level_caches_have_measured_traffic():
-    """A module-level cache keeps every entry for the life of the process,
-    so each one must earn its memory.  ``binomial._upper`` (``upper``
-    after its integer check) is measured in process on a 2-core machine
-    with CPython 3.11.  An analyze-d24 query makes 7.5 calls, all from the
-    peel's layer checks, and 99.8% hit; a hit takes 0.2 us where a computed
-    ``upper(10, 3)`` takes 1.6 us.  In growth-bigint, ``is_macaulay`` on a
-    batch of 288 near-maximal h-vectors (whose low-degree values repeat)
-    hits on 36% of its calls, and the batch took 5.0 ms with the cache and
-    5.9 ms without (medians of 8 alternating runs over 18 batches).  The
-    lex oracle builds its monomial lists per call: the CLI calls it once
-    per process and no benchmark workload calls it.  A cache made inside a
-    function lives for one call and is not counted here."""
+    """A module-level cache lives as long as the process, so each one must
+    earn its memory.  ``binomial._upper`` (``upper`` after its integer
+    check) is measured in process on a 2-core machine with CPython 3.11.
+    An analyze-d24 query makes 7.1 calls, all from ``_is_o_sequence`` on
+    h, and 99.7% hit on a cold pass (53 entries); a hit takes 0.2 us where
+    a computed ``upper(10, 3)`` takes 1.6 us.  In growth-bigint, a child
+    fills about 5,500 entries, under the cache's bound of 2**16, and
+    ``is_macaulay`` on a batch of 288 near-maximal h-vectors (whose
+    low-degree values repeat) hits on 36% of its calls; the batch took
+    5.0 ms with the cache and 5.9 ms without (medians of 8 alternating runs
+    over 18 batches).  The lex oracle builds its monomial lists per call:
+    the CLI calls it once per process and no benchmark workload calls it.
+    A cache made inside a function lives for one call and is not counted
+    here."""
     found = {cached for path in SOURCES
              for cached in _process_caches(ast.parse(path.read_text()),
                                            path.name)}

@@ -266,7 +266,7 @@ class TestPeel:
 
     def test_decompose_codim3_on_a_growth_box(self):
         """Every h = (1, 3, x_2, ..., x_5) with 0 <= x_n <= C(n+2, 2) + 1,
-        where the peel alone decides growth."""
+        O-sequences and violations of growth alike."""
         hs = growth_box(3, 6)
         assert len(hs) == 37536
         for h in hs:
