@@ -14,7 +14,6 @@ import sys
 from . import (
     IntFun,
     biliaison,
-    char_s0,
     check_prop36_bounds,
     curve_invariants,
     decompose,
@@ -27,6 +26,7 @@ from . import (
     macaulay_expand,
     quadric_check,
     resolution_char,
+    s1_via_cor37,
     surface_invariants,
     upper,
 )
@@ -94,7 +94,7 @@ def _cmd_analyze_codim3(args):
     gamma = _parse_fun(args.function)
     dec = decompose_codim3(gamma)
     s0 = dec.s0
-    s1 = char_s0(dec.parts[-1]) + dec.r  # Cor 3.7, which holds at r = 0 too
+    s1 = s1_via_cor37(dec, s0)
     payload = {
         "s0": s0,
         "s1": s1,

@@ -58,10 +58,8 @@ def decompose_codim3(gamma: IntFun) -> Codim3Decomposition:
 
 
 def s1_via_cor37(dec: Codim3Decomposition, s0: int) -> int:
-    """s1 from the decomposition alone: s0(gamma_r) + s0 - 1, s0 = r + 1."""
+    """Cor 3.7, at every r: s1 = s0(gamma_r) + s0 - 1, where s0 = r + 1."""
     _require_ints(s0)
-    if dec.r < 1:
-        raise ValueError("shortcut needs a nondegenerate decomposition")
     if s0 != dec.s0:
         raise ValueError(f"s0 must be {dec.s0} for this decomposition, not {s0}")
     return char_s0(dec.parts[-1]) + s0 - 1
@@ -146,7 +144,5 @@ def integral_quadric_check(gamma: IntFun) -> bool:
 def plane_union_char(d1: int, d2: int) -> IntFun:
     """Character of the union of two plane curves of degrees d1, d2 whose
     planes meet in one point, with the curves meeting in one point."""
-    _require_ints(d1, d2)
-    if d1 < 1 or d2 < 1:
-        raise ValueError("degrees must be >= 1")
+    _require_ints(d1, d2)  # before hypersurface_char's range check
     return hypersurface_char(d1) + hypersurface_char(d2) + IntFun(0, (1, -2, 1))

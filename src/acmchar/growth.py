@@ -154,7 +154,7 @@ class Decomposition(_Layered):
             t = p[1] if len(p) > 1 else 0
             if i < r and t != want:
                 raise ValueError(f"layer {i} must have type {want}")
-            if i == r and t > want:
+            if t > want:  # only i == r gets here: t != want raised for i < r
                 raise ValueError(f"last layer must have type <= {want}")
         for i in range(1, r + 1):  # a layer's sup is len - 1
             if len(layers[i]) >= _s0(layers[i - 1]):

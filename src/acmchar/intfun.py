@@ -163,8 +163,6 @@ class IntFun(_Frozen):
     def shift(self, d: int) -> "IntFun":
         """The function  n -> f(n + d)."""
         _require_ints(d)
-        if not self.values:
-            return self
         return IntFun(self.offset - d, self.values)
 
     # -- arithmetic -------------------------------------------------------

@@ -2,7 +2,13 @@
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
+import os
+from pathlib import Path
+import resource
+import subprocess
+import sys
 
+import acmchar
 from acmchar import (
     Codim3Decomposition,
     DGEntry,
@@ -24,6 +30,22 @@ from acmchar import (
 )
 from acmchar.growth import HIGHER_TYPE, NOT_MACAULAY, TYPE0, TYPE1, TYPE2
 from acmchar.intfun import _quote
+
+# address space of a child that makes one call; Python with acmchar.cli
+# imported maps about 18 MB
+CHILD_CAP_BYTES = 256 << 20
+
+
+def run_capped(*argv):
+    """``python *argv`` on this package under an address-space cap, so a
+    call that builds a list as long as an offset stops with MemoryError
+    instead of taking gigabytes."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_CAP_BYTES,) * 2)
+
+    env = {**os.environ, "PYTHONPATH": str(Path(acmchar.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
 
 
 def macaulay_functions(type_a, max_mass):

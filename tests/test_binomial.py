@@ -28,6 +28,8 @@ class TestBinom:
     def test_rejects_smaller_p(self):
         with pytest.raises(ValueError):
             binom(5, -2)
+        with pytest.raises(ValueError, match="binom undefined for p = -2 < -1"):
+            binom(-5, -2)  # n < p too, where C(n, p) would read 0
 
     def test_pascal_rule_with_degenerate_column(self):
         for n in range(0, 20):

@@ -114,7 +114,7 @@ class TestS1:
                 assert s1_general(gamma, 2) == s1
 
     def test_rejects_codim_below_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^codim must be >= 2$"):
             s1_general(F(-1, 1), 1)
 
 
@@ -136,8 +136,9 @@ class TestModelCharacters:
     def test_rejects_bad_degrees(self):
         with pytest.raises(ValueError):
             hypersurface_char(0)
-        with pytest.raises(ValueError):
-            complete_intersection_char(3, 2)
+        for s0, s1 in [(3, 2), (0, 0), (-1, 3)]:
+            with pytest.raises(ValueError, match="need 1 <= s0 <= s1"):
+                complete_intersection_char(s0, s1)
 
 
 class TestBiliaison:

@@ -15,7 +15,7 @@ from acmchar.binomial import MAX_EXPANSION_TERMS
 from acmchar.characters import MAX_BILIAISON_SPAN, MAX_RESOLUTION_CODIM
 from acmchar.cli import run
 
-from helpers import macaulay_functions
+from helpers import macaulay_functions, run_capped
 
 
 @pytest.fixture
@@ -420,6 +420,14 @@ class TestBoundedVerbs:
         code, _, err = capture("biliaison", "(-1,1)", "(-1,1)",
                                str(height + 1))
         assert code == 1 and str(MAX_BILIAISON_SPAN) in err
+
+    def test_biliaison_with_a_zero_support_at_a_far_offset(self):
+        """gamma_y = 0 leaves gamma_x in place: the sums add zero operands
+        and fill no gap down to degree 0 (run under an address-space cap)."""
+        proc = run_capped("-m", "acmchar.cli", "biliaison",
+                          "(-1,1)@1000000000", "(0)", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "(-1,1)@1000000000\n", "")
 
     def test_non_character_is_refused_first(self, capture):
         code, _, err = capture("biliaison", "(-1,1)", "(1)", "30000000")

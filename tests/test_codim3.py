@@ -170,10 +170,12 @@ class TestS1Shortcut:
         assert s1_via_cor37(dec, 2) == 2
         assert s1_general(gamma, 3) == 2
 
-    def test_requires_nondegenerate(self):
-        dec = decompose_codim3(F(-1, -1, 2))
-        with pytest.raises(ValueError):
-            s1_via_cor37(dec, 2)
+    def test_holds_at_r_zero(self):
+        """At r = 0, s0 = 1 and s1 = s0(gamma_0)."""
+        gamma = F(-1, -1, 2)
+        dec = decompose_codim3(gamma)
+        assert (dec.r, dec.s0) == (0, 1)
+        assert s1_via_cor37(dec, 1) == s1_general(gamma, 3) == 2
 
     @pytest.mark.parametrize("s0", [2.5, 2.0, True, "2", None])
     def test_refuses_a_non_integer_s0(self, s0):
@@ -193,17 +195,14 @@ class TestS1Shortcut:
         assert str(info.value) == f"s0 must be 2 for this decomposition, not {s0}"
 
     def test_agrees_with_scan_on_universe(self):
-        """Cor 3.7, s1 = s0(gamma_r) + r, also holds at r = 0, where
-        ``analyze-codim3`` reads s1 off the decomposition too."""
+        """Cor 3.7, s1 = s0(gamma_r) + r, holds at every r, r = 0
+        included, where ``analyze-codim3`` reads s1 off it too."""
         for a in range(4):
             for h in macaulay_functions(a, 12):
                 gamma = gamma_from_h(h)
                 dec = decompose_codim3(gamma)
-                s1 = s1_general(gamma, 3)
                 assert dec.s0 == check_necessary(gamma, 3).s0
-                assert char_s0(dec.parts[-1]) + dec.r == s1
-                if dec.r >= 1:
-                    assert s1_via_cor37(dec, dec.s0) == s1
+                assert s1_via_cor37(dec, dec.s0) == s1_general(gamma, 3)
 
 
 class TestIntervalBounds:
@@ -278,6 +277,9 @@ class TestQuadric:
             quadric_check(F(-1, -1, 2))
         with pytest.raises(ValueError):
             quadric_check(F(-1, -2, -3, 6))
+        # s0 = 2, but h = (1, 3, 7) breaks growth, so it is no character
+        with pytest.raises(ValueError, match="needs a codim-3 character"):
+            quadric_check(F(-1, -2, -4, 7))
 
     def test_truth_is_validity(self):
         assert quadric_check(F(-1, -2, -1, 4))
@@ -329,8 +331,9 @@ class TestPlaneUnion:
                 assert inv.g == binom(a - 1, 2) + binom(b - 1, 2)
 
     def test_rejects_degree_zero(self):
-        with pytest.raises(ValueError):
-            plane_union_char(0, 3)
+        for d1, d2 in [(0, 3), (3, 0), (-1, 1)]:
+            with pytest.raises(ValueError, match="degree must be >= 1"):
+                plane_union_char(d1, d2)
 
 
 class TestMinimalDegreeBound:

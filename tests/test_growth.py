@@ -84,6 +84,7 @@ class TestLexOracle:
         assert not lex_oracle(F(1, 2, -1))
         assert not lex_oracle(F(2, 1))
         assert not lex_oracle(IntFun())
+        assert not lex_oracle(IntFun(-1, (1, 1, 2, 1)))  # h(-1) = 1
 
     def test_scale_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -154,7 +155,7 @@ class TestDecompose:
         assert total == F(1, 3, 6)
 
     def test_needs_type_at_least_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^decompose needs type >= 2 "):
             decompose(F(1, 1, 1))
 
     def test_rejects_non_macaulay(self):
@@ -204,6 +205,8 @@ class TestDecompose:
             Decomposition((F(1, 3), F(1))).validate(3)  # wrong layer type
         with pytest.raises(ValueError):
             Decomposition((F(1, 2, 3),)).validate(3)  # single layer
+        with pytest.raises(ValueError, match="last layer must have type <= 2"):
+            Decomposition((F(1, 2, 3), F(1, 3))).validate(3)
 
     @pytest.mark.parametrize("type_a", [3.0, True])
     def test_validate_rejects_a_type_that_is_not_an_int(self, type_a):

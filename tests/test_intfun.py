@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import acmchar as ac
 from acmchar import ConstantTailError, IntFun, indicator
 
+from helpers import run_capped
+
 intfuns = st.builds(
     IntFun,
     st.integers(min_value=-6, max_value=6),
@@ -160,6 +162,21 @@ class TestArithmetic:
             nonzero = len(h.values) - h.values.count(0)
             assert nonzero == sum(1 for n in window(f, g) if h(n))
 
+    def test_zero_operand_at_a_far_offset(self):
+        """A zero operand leaves f or -f as it is: the sum fills no gap
+        between f's window and offset 0, which at offset 10**9 (literals
+        accept it) would be a list of 10**9 entries."""
+        code = ("import time; from acmchar import IntFun; "
+                "f, z = IntFun(10**9, (-1, 1)), IntFun(); "
+                "t = time.perf_counter(); out = [f + z, z + f, z - f, f - z]; "
+                "print(time.perf_counter() - t, *out)")
+        proc = run_capped("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, *out = proc.stdout.split()
+        assert float(elapsed) < 1.0
+        assert out == ["(-1,1)@1000000000", "(-1,1)@1000000000",
+                       "(1,-1)@1000000000", "(-1,1)@1000000000"]
+
     @given(intfuns)
     def test_sub_self_is_zero(self, f):
         assert (f - f).is_zero()
@@ -184,6 +201,9 @@ class TestSerialization:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             IntFun.parse("(1,x)")
+        for bad in ["(1", "1)"]:  # one parenthesis is not the zero function
+            with pytest.raises(ValueError, match="malformed function literal"):
+                IntFun.parse(bad)
 
     def test_str_pads_from_zero(self):
         assert str(IntFun(2, (5,))) == "(0,0,5)"

@@ -133,17 +133,30 @@ def test_window_scans_never_call_their_arguments():
     assert found == []
 
 
+def _called_names(file_name, function_name):
+    """The plain names that one function of the package calls."""
+    [f] = [f for f in _functions(file_name) if f.name == function_name]
+    return {node.func.id for node in ast.walk(f)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
 def test_decompose_codim3_peels_value_tuples():
     """``decompose_codim3`` reads h and its layers as value tuples: it
     calls none of the steps that would build them as throwaway records
     (``tests/helpers.py::decompose_codim3_composed`` composes them as an
     oracle)."""
-    [f] = [f for f in _functions("codim3.py") if f.name == "decompose_codim3"]
-    called = {node.func.id for node in ast.walk(f)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    called = _called_names("codim3.py", "decompose_codim3")
     assert {"_h_values", "_is_o_sequence", "_peel"} <= called
     assert called.isdisjoint({"h_from_gamma", "MacaulayFn", "decompose",
                               "gamma_from_h"})
+
+
+def test_cli_reads_s1_from_the_library():
+    """Cor 3.7 has one owner, ``codim3.s1_via_cor37``: ``analyze-codim3``
+    takes s1 from it and does not compute s0(gamma_r) + r again."""
+    called = _called_names("cli.py", "_cmd_analyze_codim3")
+    assert "s1_via_cor37" in called
+    assert "char_s0" not in called
 
 
 _CACHES = ("cache", "lru_cache")
