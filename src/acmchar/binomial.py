@@ -8,7 +8,7 @@ all n > p >= 0.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .intfun import _Frozen, _require_ints
 
@@ -69,7 +69,11 @@ def _largest_top(rem: int, k: int) -> int:
     lo, step = k, 1  # C(k,k) = 1 <= rem
     while comb(lo + step, k) <= rem:
         lo, step = lo + step, 2 * step
-    hi = lo + step  # C(lo,k) <= rem < C(hi,k)
+    return _bisect_top(rem, k, lo, lo + step)
+
+
+def _bisect_top(rem: int, k: int, lo: int, hi: int) -> int:
+    """Largest m with C(m,k) <= rem, given C(lo,k) <= rem < C(hi,k)."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if comb(mid, k) <= rem:
@@ -83,7 +87,13 @@ def _greedy(alpha: int, i: int, least: int) -> tuple[list[tuple[int, int]], int]
     """The greedy i-binomial terms (m, k) of alpha >= least while the
     remainder rem exceeds k, and that remainder.  From there every term is
     C(k,k) = 1, so the expansion ends in rem such terms.  Its callers check
-    types first, so a negative float is refused as a non-integer too."""
+    types first, so a negative float is refused as a non-integer too.
+
+    After the term (m, k), rem < C(m+1,k) - C(m,k) = C(m,k-1), and while
+    the loop runs C(k,k-1) = k <= rem, so the next top lies in [k, m) and
+    is found by bisection there; only the first term is searched from
+    below.  At k = 2 the top is (1 + isqrt(8 rem + 1)) // 2, the largest
+    m with m(m-1)/2 <= rem, and at k = 1 it is rem itself."""
     if alpha < least:
         raise ValueError(f"alpha must be >= {least}")
     if i <= 0:
@@ -91,8 +101,16 @@ def _greedy(alpha: int, i: int, least: int) -> tuple[list[tuple[int, int]], int]
     terms = []
     rem = alpha
     k = i
+    m = 0  # no term yet
     while rem > k:
-        m = _largest_top(rem, k)
+        if k == 1:
+            m = rem
+        elif k == 2:
+            m = (1 + isqrt(8 * rem + 1)) // 2
+        elif m:
+            m = _bisect_top(rem, k, k + 1, m)
+        else:
+            m = _largest_top(rem, k)
         terms.append((m, k))
         rem -= comb(m, k)
         k -= 1

@@ -2,6 +2,7 @@
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
+from math import comb
 import os
 from pathlib import Path
 import resource
@@ -46,6 +47,29 @@ def run_capped(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(acmchar.__file__).parents[1])}
     return subprocess.run([sys.executable, *argv], env=env, preexec_fn=cap,
                           capture_output=True, text=True, timeout=60)
+
+
+def greedy_stepwise(alpha, i):
+    """Oracle for ``binomial._greedy(alpha, i, 0)``: each top searched from
+    scratch, up from k by doubling and then by bisection, with no bracket
+    from the term before and no closed form, as the library once did."""
+    terms = []
+    rem, k = alpha, i
+    while rem > k:
+        lo, step = k, 1  # C(k,k) = 1 <= rem
+        while comb(lo + step, k) <= rem:
+            lo, step = lo + step, 2 * step
+        hi = lo + step  # C(lo,k) <= rem < C(hi,k)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if comb(mid, k) <= rem:
+                lo = mid
+            else:
+                hi = mid
+        terms.append((lo, k))
+        rem -= comb(lo, k)
+        k -= 1
+    return terms, rem
 
 
 def macaulay_functions(type_a, max_mass):

@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from acmchar import MacaulayExpansion, binom, macaulay_expand, upper
-from acmchar.binomial import MAX_EXPANSION_TERMS, _upper
+from acmchar import MacaulayExpansion, binom, binomial, macaulay_expand, upper
+from acmchar.binomial import MAX_EXPANSION_TERMS, _greedy, _upper
+
+from helpers import greedy_stepwise
 
 
 class TestBinom:
@@ -116,6 +118,59 @@ class TestExpansion:
         with pytest.raises(TypeError, match="not an integer") as info:
             MacaulayExpansion(terms)
         assert len(str(info.value)) < 100  # a long value is quoted briefly
+
+
+class TestGreedy:
+    """``_greedy`` bisects each top after the first inside the bracket the
+    term before sets, and takes closed forms at k <= 2; the step-by-step
+    oracle searches every top from scratch."""
+
+    @given(st.integers(min_value=0, max_value=10**60 - 1),
+           st.integers(min_value=1, max_value=64))
+    def test_matches_the_stepwise_oracle(self, alpha, i):
+        assert _greedy(alpha, i, 0) == greedy_stepwise(alpha, i)
+
+    def test_matches_the_stepwise_oracle_on_small_values(self):
+        for alpha in range(2001):
+            for i in range(1, 9):
+                assert _greedy(alpha, i, 0) == greedy_stepwise(alpha, i)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_closed_form_edges(self, i):
+        """rem one below, at and one above C(m,2), where 8 rem + 1 is the
+        square (2m-1)**2; at i = 3 also as the remainder after C(m+1,3)."""
+        ms = [*range(2, 200), *(10**e + d for e in range(3, 16) for d in (-1, 0, 1))]
+        for m in ms:
+            for rem in (math.comb(m, 2) - 1, math.comb(m, 2), math.comb(m, 2) + 1):
+                alphas = [rem] if i < 3 else [rem, math.comb(m + 1, 3) + rem]
+                for alpha in alphas:
+                    assert _greedy(alpha, i, 0) == greedy_stepwise(alpha, i)
+
+    @pytest.mark.parametrize("alpha, i", [
+        (10**50, 30), (10**12, 5), (25, 3), (10**20, 2), (10**20, 1), (5, 10)])
+    def test_each_top_after_the_first_is_bisected_in_its_bracket(
+            self, monkeypatch, alpha, i):
+        """Only a first term with k >= 3 is searched from below; after the
+        term (m, k+1) a top at k >= 3 is bisected in [k+1, m), and k <= 2
+        search nothing."""
+        searched, bisected = [], []
+        bisect = binomial._bisect_top
+
+        def search_spy(rem, k):
+            searched.append(k)
+            return greedy_stepwise(rem, k)[0][0][0]
+
+        def bisect_spy(rem, k, lo, hi):
+            bisected.append((k, lo, hi))
+            return bisect(rem, k, lo, hi)
+
+        monkeypatch.setattr(binomial, "_largest_top", search_spy)
+        monkeypatch.setattr(binomial, "_bisect_top", bisect_spy)
+        terms, rem = greedy_stepwise(alpha, i)
+        assert _greedy(alpha, i, 0) == (terms, rem)
+        assert searched == ([i] if terms and i >= 3 else [])
+        assert bisected == [(k, k + 1, m) for (m, _), (_, k) in zip(terms, terms[1:])
+                            if k >= 3]
 
 
 class TestUpper:

@@ -42,7 +42,8 @@ literals = st.one_of(
     positional, json_objects, deep_json, st.text(max_size=12))
 # numbers written as text; expand lists one term per unit of the index, so
 # its index stays small
-alphas = st.integers(min_value=-3, max_value=10**6).map(str)
+alphas = (st.integers(min_value=-3, max_value=10**6)
+          | st.integers(min_value=0, max_value=10**60)).map(str)
 indices = st.integers(min_value=-3, max_value=2000).map(str)
 no_digits = st.text(alphabet=st.characters(blacklist_categories=("Nd",)),
                     max_size=8)

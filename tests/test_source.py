@@ -187,14 +187,15 @@ def test_module_level_caches_have_measured_traffic():
     earn its memory.  ``binomial._upper`` (``upper`` after its integer
     check) is measured in process on a 2-core machine with CPython 3.11.
     An analyze-d24 query makes 7.1 calls, all from ``_is_o_sequence`` on
-    h, and 99.7% hit on a cold pass (53 entries); a hit takes 0.2 us where
-    a computed ``upper(10, 3)`` takes 1.6 us.  In growth-bigint, a child
+    h, and 99.7% hit on a cold pass (53 entries); a hit takes 0.1 us where
+    a computed ``upper(10, 3)`` takes 0.9 us.  In growth-bigint, a child
     fills about 5,500 entries, under the cache's bound of 2**16, and
     ``is_macaulay`` on a batch of 288 near-maximal h-vectors (whose
-    low-degree values repeat) hits on 36% of its calls; the batch took
-    5.0 ms with the cache and 5.9 ms without (medians of 8 alternating runs
-    over 18 batches).  The lex oracle builds its monomial lists per call:
-    the CLI calls it once per process and no benchmark workload calls it.
+    low-degree values repeat) hits on 36% of its calls; with the bracketed
+    greedy the batch took 2.7 ms with the cache and 2.9 ms without (medians
+    of 8 alternating runs over 18 batches, two such sets).  The lex oracle
+    builds its monomial lists per call: the CLI calls it once per process
+    and no benchmark workload calls it.
     A cache made inside a function lives for one call and is not counted
     here."""
     found = {cached for path in SOURCES
