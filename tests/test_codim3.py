@@ -25,7 +25,7 @@ from acmchar import (
     s1_via_cor37,
 )
 
-from acmchar import codim3, growth
+from acmchar import binomial, codim3, growth
 
 from helpers import integral_quadric_pointwise, macaulay_functions, small_characters
 
@@ -153,6 +153,35 @@ class TestDecomposeCodim3:
         for h in macaulay_functions(3, 12):
             gamma = gamma_from_h(h)
             assert decompose_codim3(gamma).recompose() == gamma
+
+    def test_a_warm_pass_up_to_degree_24_expands_nothing(self, monkeypatch):
+        """The analyze-d24 benchmark times the library calls of
+        ``analyze-codim3 --json`` on the 2,322 curve characters of degree
+        <= 24 after one untimed pass.  That pass leaves every growth bound
+        the analysis asks for in ``binomial._upper``'s cache, so the timed
+        passes compute no greedy expansion and do not see its cost."""
+        def analysis(gamma):
+            chk = check_necessary(gamma, 3)
+            dec = decompose_codim3(gamma)
+            s1_general(gamma, 3)
+            check_prop36_bounds(gamma, dec)
+            integral_screen(gamma)
+            if dec.r >= 1:
+                s1_via_cor37(dec, chk.s0)
+
+        expanded = []
+        greedy = binomial._greedy
+        monkeypatch.setattr(binomial, "_greedy",
+                            lambda *args: expanded.append(args) or greedy(*args))
+        binomial._upper.cache_clear()
+        gammas = [gamma_from_h(h) for h in macaulay_functions(3, 24)]
+        for gamma in gammas:
+            analysis(gamma)
+        cold = len(expanded)
+        for gamma in gammas:
+            analysis(gamma)
+        assert len(gammas) == 2322
+        assert cold > 0 and len(expanded) == cold
 
     def test_validate_rejects_overlap(self):
         with pytest.raises(ValueError):
