@@ -7,6 +7,7 @@ JSON with --json.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -158,6 +159,7 @@ def _cmd_enumerate(args):
         show(*row)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acmchar",

@@ -4,6 +4,7 @@ codimension-3 ACM curve characters up to a degree bound, with
 """
 from __future__ import annotations
 
+import json
 from itertools import chain, groupby
 
 from .characters import CurveInvariants, surface_invariants
@@ -110,8 +111,7 @@ def _write_json(out, beyond, listed) -> None:
     (d, g, witnesses) rows, each witness a tuple of parts."""
     # keyed by id(p): an int key skips the field-tuple __hash__ an IntFun
     # key runs per lookup.  No id is reused while parts are still looked up:
-    # a DGTable holds every part, and _curve_rows keeps every component it
-    # has built until it is exhausted
+    # _curve_rows keeps every component it has built until it is exhausted
     memo: dict[int, str] = {}
     part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))
     for head, part_rows in (('{"beyond_paper": [', beyond),
@@ -161,10 +161,7 @@ class DGTable(_Frozen):
 
     def write_json(self, out) -> None:
         """Write json.dumps(self.to_json(), sort_keys=True) and a newline."""
-        listed, beyond = self.split()
-        rows = lambda entries: ((e.d, e.g, [w.parts for w in e.witnesses])
-                                for e in entries)
-        _write_json(out, rows(beyond), rows(listed))
+        out.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
 
 
 def _curve_rows(max_degree: int, nondegenerate: bool = True):

@@ -108,6 +108,14 @@ class TestExpansion:
         with pytest.raises(ValueError):
             MacaulayExpansion(())
 
+    def test_list_terms_become_tuples(self):
+        """Terms given as lists are stored as tuples, so the record is
+        hashable and equals the one built from tuples."""
+        listed = MacaulayExpansion([[4, 2], [1, 1]])
+        built = MacaulayExpansion(((4, 2), (1, 1)))
+        assert listed == built
+        assert hash(listed) == hash(built)
+
     @pytest.mark.parametrize("terms", [
         ((6.9, 3), (3.5, 2), (2, True)),
         ((6, 3), (3, 2), (2, True)),

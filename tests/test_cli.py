@@ -303,21 +303,43 @@ class TestEnumerateVerb:
         assert out.out == ""
         assert out.err == "error: degree bound below the minimal curve degree\n"
 
+    @staticmethod
+    def buffered_env():
+        """The environment of a CLI child whose stdout is block-buffered,
+        as it is for a user, whatever this process was started with."""
+        env = {**os.environ, "PYTHONPATH": str(Path(acmchar.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
     @pytest.mark.parametrize("form", ["--json", "--verbose"])
     def test_closed_pipe_ends_quietly(self, form):
         """A reader that stops early (as ``| head -1`` does) ends the
         listing with exit 1 and nothing on stderr."""
-        env = {**os.environ, "PYTHONPATH": str(Path(acmchar.__file__).parents[1])}
         with subprocess.Popen(
                 [sys.executable, "-m", "acmchar.cli", "enumerate",
-                 "--max-degree", "32", form],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                 "--max-degree", "32", form], env=self.buffered_env(),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             head = proc.stdout.read(64)
             proc.stdout.close()
             err = proc.stderr.read()
             code = proc.wait(timeout=60)
         assert len(head) == 64
         assert (code, err) == (1, b"")
+
+    def test_pipe_closed_before_a_short_answer(self):
+        """A short answer sits in the stdout buffer until the flush in
+        ``main``; a pipe already closed by then ends the call quietly too,
+        with no second error from the flush at exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "acmchar.cli", "upper", "25", "3"],
+                env=self.buffered_env(), stdout=write_end,
+                stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_json_digest_degree_32(self, capsys):
         code = run(["enumerate", "--max-degree", "32", "--json"])
@@ -458,21 +480,44 @@ GOLDEN_ARGVS = (
 # recorded while each of these verbs still had its own handler
 GOLDEN_DIGEST = (
     "c0fbc9ffb87f023ac439e82675d6d5d81888771705bd877a8dda088228dd517f")
+# recorded before the CLI built its parser once per process
+ANALYZE_CODIM3_DIGEST = (
+    "d96d9698c1f1b36bfa7a3dee8f93635a4f1b3009a391e84250634d40db311e20")
 
 
 class TestGoldenOutput:
     """The function verbs' output, errors included, is fixed byte for
     byte in human and JSON form."""
 
-    def test_digest(self, capsys):
+    @staticmethod
+    def digest(capsys, argvs):
+        """sha256 over (argv, exit code, stdout, stderr) of each argv run
+        plain and with --json."""
         digest = hashlib.sha256()
-        for argv in GOLDEN_ARGVS:
+        for argv in argvs:
             for form in ([], ["--json"]):
                 code = run(argv + form)
                 out = capsys.readouterr()
                 digest.update(json.dumps(
                     [argv + form, code, out.out, out.err]).encode())
-        assert digest.hexdigest() == GOLDEN_DIGEST
+        return digest.hexdigest()
+
+    def test_digest(self, capsys):
+        assert self.digest(capsys, GOLDEN_ARGVS) == GOLDEN_DIGEST
+
+    def test_analyze_codim3_digest(self, capsys):
+        """analyze-codim3 on the 3,083 characters of degree <= 24 of types
+        0-3, each also shifted up one degree and with a unit moved from
+        degree 2 to degree 1: 9,249 literals, of which 3,722 are answered
+        and the rest refused."""
+        table = enumerate_acm_curves(24, nondegenerate=False)
+        chars = [w.recompose() for e in table.entries for w in e.witnesses]
+        argvs = [["analyze-codim3", json.dumps(f.to_json(), sort_keys=True)]
+                 for g in chars
+                 for f in (g, IntFun(g.offset + 1, g.values),
+                           g + IntFun(1, (1, -1)))]
+        assert len(argvs) == 9249
+        assert self.digest(capsys, argvs) == ANALYZE_CODIM3_DIGEST
 
     @pytest.mark.parametrize("argv, want", [
         (["--max-degree", "24"],

@@ -364,6 +364,13 @@ class TestPlaneUnion:
             with pytest.raises(ValueError, match="degree must be >= 1"):
                 plane_union_char(d1, d2)
 
+    def test_checks_both_types_before_either_range(self):
+        """Both degrees' types are checked before either range, so a
+        non-integer degree is named even when the other is out of range."""
+        with pytest.raises(TypeError) as info:
+            plane_union_char(0, 2.0)
+        assert str(info.value) == "not an integer: 2.0"
+
 
 class TestMinimalDegreeBound:
     def test_degree_vs_s0(self):
