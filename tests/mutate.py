@@ -4,9 +4,11 @@ Each mutant replaces one statement of one function body in
 ``src/acmchar`` with ``pass`` (a docstring is not a statement here, and a
 ``pass`` is not replaced).  The suite then runs against the mutant with
 ``pytest -x``; a mutant that fails a test, fails to import or runs past the
-timeout is killed, and one that passes the whole suite survives.  Each
-survivor is printed as one line, ``module.py:line: statement``, and a
-summary follows.
+timeout is killed, and one that passes the whole suite survives.  The
+timeout is five times the unmutated suite's time, which the probe measures
+first, and at least 60 s; a suite that runs past it is killed with every
+process it started.  Each survivor is printed as one line,
+``module.py:line: statement``, and a summary follows.
 
 The probe works on copies of ``src/``, ``tests/`` and ``pyproject.toml``
 in a temporary directory, one per job, and never writes ``src/``.  It uses
@@ -14,15 +16,17 @@ the standard library only.  Pytest does not collect this file, and it is
 not part of the tier-1 suite: a survivor runs the whole suite, so a pass
 over every module takes tens of minutes.
 
-    python tests/mutate.py [--module intfun.py ...] [--jobs 2] [--timeout 300]
+    python tests/mutate.py [--module intfun.py ...] [--jobs 2]
 """
 from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -70,17 +74,24 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _run_suite(copy: Path, timeout: float) -> str:
+def _run_suite(copy: Path, timeout: float | None = None) -> str:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=timeout)
+        code = proc.wait(timeout)
     except subprocess.TimeoutExpired:
-        return "timeout"
-    return "survived" if proc.returncode == 0 else "killed"
+        code = None
+    finally:
+        # the suite's own children (CLI processes a test starts) go too, so
+        # a hung mutant leaves nothing running into the next one
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    return "timeout" if code is None else "survived" if code == 0 else "killed"
 
 
 def main(argv=None) -> int:
@@ -88,10 +99,10 @@ def main(argv=None) -> int:
     parser.add_argument("--module", action="append",
                         help="a file in src/acmchar, e.g. intfun.py "
                              "(repeatable; default: every module)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="suites run at once, one copy each")
-    parser.add_argument("--timeout", type=float, default=300,
-                        help="seconds per mutant before it counts as killed")
+    parser.add_argument("--jobs", type=int,
+                        default=len(os.sched_getaffinity(0)),
+                        help="suites run at once, one copy each "
+                             "(default: one per usable CPU)")
     args = parser.parse_args(argv)
     names = args.module or sorted(p.name for p in (ROOT / PACKAGE).glob("*.py"))
     work = [(name, line, stmt, text)
@@ -103,9 +114,11 @@ def main(argv=None) -> int:
         for j in range(args.jobs):
             _copy_tree(Path(tmp) / str(j))
             copies.put(Path(tmp) / str(j))
-        if _run_suite(Path(tmp) / "0", args.timeout) != "survived":
+        start = time.monotonic()
+        if _run_suite(Path(tmp) / "0") != "survived":
             print("the suite fails without a mutant", file=sys.stderr)
             return 2
+        timeout = max(60.0, 5 * (time.monotonic() - start))
 
         def probe(item):
             name, _, _, text = item
@@ -113,12 +126,11 @@ def main(argv=None) -> int:
             target = copy / PACKAGE / name
             try:
                 target.write_text(text)
-                return _run_suite(copy, args.timeout)
+                return _run_suite(copy, timeout)
             finally:
                 shutil.copy2(ROOT / PACKAGE / name, target)
                 copies.put(copy)
 
-        start = time.monotonic()
         counts = {"killed": 0, "timeout": 0, "survived": 0}
         with ThreadPoolExecutor(args.jobs) as pool:
             for (name, line, stmt, _), verdict in zip(work, pool.map(probe, work)):
@@ -127,7 +139,8 @@ def main(argv=None) -> int:
                     print(f"{name}:{line}: {stmt}", flush=True)
     print(f"# {len(work)} mutants in {', '.join(names)}: {counts['killed']} "
           f"killed, {counts['timeout']} timed out, {counts['survived']} "
-          f"survived ({time.monotonic() - start:.0f} s, {args.jobs} jobs)")
+          f"survived ({time.monotonic() - start:.0f} s, {args.jobs} jobs, "
+          f"{timeout:.0f} s timeout)")
     return 0
 
 

@@ -316,8 +316,13 @@ class TestPartEncoding:
 
     @staticmethod
     def written(table):
+        """What the enumerate verb's stream writer makes of the two parts
+        of the table's split(), fed as (d, g, witnesses) rows."""
+        rows = lambda entries: [(e.d, e.g, [w.parts for w in e.witnesses])
+                                for e in entries]
+        listed, beyond = table.split()
         out = io.StringIO()
-        table.write_json(out)
+        _write_json(out, rows(beyond), rows(listed))
         return out.getvalue()
 
     def test_write_json_with_offsets(self):
@@ -343,13 +348,19 @@ class TestPartEncoding:
         assert self.written(DGTable(())) == '{"beyond_paper": [], "pairs": []}\n'
 
     def test_write_json_of_entries_out_of_order(self):
-        """write_json partitions a table as split() does, whatever the
-        order of its entries: (5, 99) is beyond the list even after a
-        pair of degree 11."""
+        """The stream writer keeps split()'s parts whatever the order of
+        the entries: (5, 99) is beyond the list even after a pair of
+        degree 11."""
         dec = Codim3Decomposition((F(-1, -1, 2), F(-1, 1)))
         table = DGTable((DGEntry(11, 0, (dec,)), DGEntry(5, 99, (dec,))))
         assert json.loads(self.written(table))["beyond_paper"][0]["g"] == 99
         assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+
+    def test_table_write_json_matches_the_stream(self):
+        table = enumerate_acm_curves(13, nondegenerate=False)
+        out = io.StringIO()
+        table.write_json(out)
+        assert out.getvalue() == self.written(table)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_write_json_of_shuffled_tables(self, seed):
