@@ -32,7 +32,7 @@ from . import (
     upper,
 )
 from .codim3 import _integral
-from .enumeration import _curve_rows, _split, _write_json
+from .enumeration import _curve_rows, _split, _witness_text, _write_json
 
 
 class _LiteralError(Exception):
@@ -149,7 +149,7 @@ def _cmd_enumerate(args):
         print(f"{d} {g} {len(witnesses)}")
         if args.verbose:
             for w in witnesses:
-                print("  " + " ".join(map(str, w)))
+                print("  " + _witness_text(w))
 
     for row in listed:
         show(*row)

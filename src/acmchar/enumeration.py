@@ -5,7 +5,7 @@ codimension-3 ACM curve characters up to a degree bound, with
 from __future__ import annotations
 
 import json
-from itertools import chain, groupby
+from itertools import chain, count, groupby, islice
 
 from .characters import CurveInvariants, surface_invariants
 from .codim3 import Codim3Decomposition
@@ -22,38 +22,29 @@ REFERENCE_PAIRS_DEG10 = frozenset({
 REFERENCE_MAX_DEGREE = 10
 
 
-def _layer_lengths(d: int, high: int):
-    """Strictly decreasing tuples of positive parts <= high summing to d,
-    in descending order.  The h-vector of a positive character peels into
-    type-1 layers (1, ..., 1) of lengths l_0 > l_1 > ... > l_{s0-1} (layer
-    i from degree i on), so gamma has -1 at each i and +1 at each i + l_i:
-    these positions are its numerical character, and sup = l_0."""
-    if d == 0:
-        yield ()
-    for first in range(min(d, high), 0, -1):
-        if first * (first + 1) // 2 < d:
-            return  # distinct parts <= first sum to at most first (first + 1) / 2
-        for rest in _layer_lengths(d - first, first - 1):
-            yield (first, *rest)
-
-
-def _character(lengths: tuple[int, ...]) -> IntFun:
-    """The positive character whose h-vector has these layer lengths."""
-    vals = [0] * (lengths[0] + 1)
-    for i, l in enumerate(lengths):
-        vals[i] -= 1
-        vals[i + l] += 1
-    return IntFun(0, tuple(vals))
-
-
-def _degree_components(d: int) -> list[tuple[IntFun, int, int, int, int]]:
-    """(gamma, d, sup, s0, delta) per positive character of degree d, in
-    values order, read off its layer lengths l: sup = l_0, s0 = len(l) and
-    delta = sum_i l_i (l_i + 2i - 4), the sum of (i + l_i)^2 - 4 (i + l_i)
-    - (i^2 - 4i)."""
-    return sorted(((_character(ls), d, ls[0], len(ls),
-                    sum(l * (l + 2 * i - 4) for i, l in enumerate(ls)))
-                   for ls in _layer_lengths(d, d)), key=lambda c: c[0].values)
+def _positive_records(cap: int | None = None):
+    """Yield, for d = 1, 2, ..., the records (values, d, sup, s0, delta), in
+    values order, of the positive characters of degree d with sup <= cap.
+    The h-vector of one peels into type-1 layers (1, ..., 1) of lengths
+    l_0 > ... > l_{s0-1}, layer i from degree i on: gamma is -1 at each i
+    and +1 at each i + l_i (its numerical character), and sup = l_0.  Less
+    its first layer, it is one of degree e = d - l_0 and sup < l_0 (or the
+    empty one, s0 = 0) moved up a degree, which adds 2e to delta."""
+    table = [[((), 0, -1, 0, 0)]]  # table[e]: the records of degree e
+    for d in count(1):
+        rows = []
+        for l0 in range(d if cap is None else min(d, cap), 0, -1):
+            if l0 * (l0 + 1) // 2 < d:
+                break  # distinct parts <= l0 sum to at most l0 (l0 + 1) / 2
+            e = d - l0
+            for v, _, sup, s0, delta in table[e]:
+                if sup < l0:
+                    rows.append(((-1, *v[:-1], v[-1] + 1) if sup == l0 - 1
+                                 else (-1, *v, *(0,) * (l0 - sup - 2), 1),
+                                 d, l0, s0 + 1, delta + l0 * (l0 - 4) + 2 * e))
+        rows.sort()  # the values are distinct, so they alone decide
+        table.append(rows)
+        yield rows
 
 
 def enumerate_positive_characters(d: int, min_s0: int = 1,
@@ -64,9 +55,11 @@ def enumerate_positive_characters(d: int, min_s0: int = 1,
     _require_ints(d, min_s0, high)
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return sorted((_character(ls) for ls in _layer_lengths(d, high)
-                   if len(ls) >= min_s0),
-                  key=lambda g: (len(g.values), g.values))
+    if high * (high + 1) // 2 < d:
+        return []  # distinct parts <= high sum to at most high (high + 1) / 2
+    found = [r[0] for r in next(islice(_positive_records(high), d - 1, None))
+             if r[3] >= min_s0]
+    return [IntFun(0, v) for v in sorted(found, key=lambda v: (len(v), v))]
 
 
 def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
@@ -80,9 +73,16 @@ def dg_from_components(dec: Codim3Decomposition) -> CurveInvariants:
     return CurveInvariants(sum(si.d for si in inv), twice // 2 + 1)
 
 
-def _part_json(p: IntFun) -> str:
-    """json.dumps(p.to_json(), sort_keys=True): json writes ints as str()."""
-    return f'{{"offset": {p.offset}, "values": [{", ".join(map(str, p.values))}]}}'
+def _by_id(make):
+    """make(x) once per object x, keyed by id(x): _curve_rows keeps all it
+    yields until it is done, so no id is reused while its rows are read."""
+    memo = {}
+    return lambda x: memo.get(id(x)) or memo.setdefault(id(x), make(x))
+
+
+def _witness_text(witness) -> str:
+    """A (first, tail) witness, each part as str(IntFun(0, values))."""
+    return " ".join(f"({','.join(map(str, v))})" for v in (witness[0], *witness[1]))
 
 
 def _beyond(d: int, g: int) -> bool:
@@ -107,18 +107,15 @@ def _split(rows):
 
 def _write_json(out, beyond, listed) -> None:
     """Write json.dumps({"beyond_paper": [...], "pairs": [...]},
-    sort_keys=True) and a newline for the two parts of a split, as
-    (d, g, witnesses) rows, each witness a tuple of parts."""
-    # keyed by id(p): an int key skips the field-tuple __hash__ an IntFun
-    # key runs per lookup.  No id is reused while parts are still looked up:
-    # _curve_rows keeps every component it has built until it is exhausted
-    memo: dict[int, str] = {}
-    part = lambda p: memo.get(id(p)) or memo.setdefault(id(p), _part_json(p))
+    sort_keys=True) and a newline for a split's two parts of (d, g, [(first,
+    tail), ...]) rows, each component's and tail's text made once."""
+    part = _by_id(lambda v: '{"offset": 0, "values": ' + repr(list(v)) + "}")
+    tail = _by_id(lambda t: "".join([", " + part(v) for v in t]))
     for head, part_rows in (('{"beyond_paper": [', beyond),
                             ('], "pairs": [', listed)):
         out.write(head)
         for n, (d, g, witnesses) in enumerate(part_rows):
-            wits = ", ".join(f"[{', '.join(map(part, w))}]" for w in witnesses)
+            wits = ", ".join([f"[{part(v)}{tail(t)}]" for v, t in witnesses])
             out.write(f'{", " if n else ""}{{"d": {d}, "g": {g}, '
                       f'"witnesses": [{wits}]}}')
     out.write("]}\n")
@@ -166,11 +163,11 @@ class DGTable(_Frozen):
 
 def _curve_rows(max_degree: int, nondegenerate: bool = True):
     """Yield the (d, g, witnesses) of ``enumerate_acm_curves`` in (d, g)
-    order, a degree at a time, each witness a tuple of parts.
+    order, a degree at a time, each witness (first values, tuple of the rest).
 
     A witness of degree d is a first component gamma_0 of degree d_0 and a
     tail of degree e = d - d_0 whose first part has sup <= s0(gamma_0) - 1.
-    tails[k][e] lists, in values order, (parts, share) for the tails of
+    tails[k][e] lists, in values order, (tail, share) for the tails of
     degree e with first sup <= k, share being what they add to 2g - 2 from
     position 1 on.  Cap k is asked for only with e <= d - (k + 1)(k + 2)/2,
     as d_0 >= s0 (s0 + 1) / 2, so each degree adds one row per cap.  With
@@ -182,28 +179,28 @@ def _curve_rows(max_degree: int, nondegenerate: bool = True):
     firsts = []  # every component of degree <= d, in values order
     followers = []  # followers[k]: the components with sup <= k
     tails = []
-    for d in range(1, max_degree + 1):
-        firsts = sorted(firsts + _degree_components(d), key=lambda c: c[0].values)
+    for d, records in zip(range(1, max_degree + 1), _positive_records()):
+        firsts = sorted(firsts + records)
         k = len(tails)
         if (k + 1) * (k + 2) // 2 == d:  # the first d with a tail row for cap k
             followers.append([c for c in firsts if c[2] <= k])  # all of degree < d
             tails.append([])
         for k, rows in enumerate(tails):
             e, row = len(rows), [] if rows else [((), 0)]
-            for g, d_i, _, s0, delta in followers[k]:
-                if d_i <= e:  # g at position 1 adds delta + 3 d_i, and
+            for v, d_i, _, s0, delta in followers[k]:
+                if d_i <= e:  # v at position 1 adds delta + 3 d_i, and
                     # the rest, one position later than in its row, 2 (e - d_i)
                     share = delta + d_i + 2 * e
-                    row += [((g, *parts), share + t)
-                            for parts, t in tails[s0 - 1][e - d_i]]
+                    row += [((v, *tail), share + t)
+                            for tail, t in tails[s0 - 1][e - d_i]]
             rows.append(row)
         groups: dict[tuple[int, int], list] = {}
-        for g, d_i, _, s0, delta in firsts:
+        for v, d_i, _, s0, delta in firsts:
             if d_i == d and nondegenerate:
                 continue
             base = delta + d_i
-            for parts, t in tails[s0 - 1][d - d_i]:
-                groups.setdefault((base + t, len(parts)), []).append((g, *parts))
+            for tail, t in tails[s0 - 1][d - d_i]:
+                groups.setdefault((base + t, len(tail)), []).append((v, tail))
         for twice, keys in groupby(sorted(groups), key=lambda key: key[0]):
             yield d, twice // 2 + 1, [w for key in keys for w in groups.pop(key)]
 
@@ -218,6 +215,9 @@ def enumerate_acm_curves(max_degree: int, nondegenerate: bool = True) -> DGTable
     ``dg_from_components``.  Nondegenerate curves have r >= 1;
     ``nondegenerate=False`` adds the single-component (hyperplane) case.
     """
+    first = _by_id(lambda v: (IntFun(0, v),))  # (f,) + parts: one concatenation
+    parts = _by_id(lambda t: tuple(first(v)[0] for v in t))
     return DGTable(tuple(
-        DGEntry(d, g, tuple(map(Codim3Decomposition, wits)))
+        DGEntry(d, g, tuple(Codim3Decomposition(first(v) + parts(t))
+                            for v, t in wits))
         for d, g, wits in _curve_rows(max_degree, nondegenerate)))

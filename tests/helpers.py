@@ -19,7 +19,6 @@ from acmchar import (
     binom,
     char_s0,
     decompose,
-    enumerate_positive_characters,
     gamma_from_h,
     h_from_gamma,
     is_macaulay,
@@ -400,10 +399,47 @@ def placed_positive_characters(d):
     return out
 
 
+def layer_lengths(d, high):
+    """Strictly decreasing tuples of positive parts <= high summing to d,
+    in descending order, built part by part.  The h-vector of a positive
+    character peels into type-1 layers (1, ..., 1) of lengths
+    l_0 > l_1 > ... > l_{s0-1}, layer i from degree i on, so these are the
+    layer lengths of the positive characters of degree d with sup <= high."""
+    if d == 0:
+        yield ()
+    for first in range(min(d, high), 0, -1):
+        if first * (first + 1) // 2 < d:
+            return  # distinct parts <= first sum to at most first (first + 1) / 2
+        for rest in layer_lengths(d - first, first - 1):
+            yield (first, *rest)
+
+
+def layer_character(lengths):
+    """The values, from degree 0, of the positive character whose h-vector
+    has these layer lengths: -1 at each i and +1 at each i + l_i."""
+    vals = [0] * (lengths[0] + 1)
+    for i, l in enumerate(lengths):
+        vals[i] -= 1
+        vals[i + l] += 1
+    return tuple(vals)
+
+
+def layer_records(d, cap=None):
+    """Oracle for the records of ``enumeration._positive_records``: the
+    sorted (values, d, sup, s0, delta) of the positive characters of degree
+    d with sup <= cap, read off the layer lengths l: sup = l_0, s0 = len(l)
+    and delta = sum_i l_i (l_i + 2i - 4), the sum of (i + l_i)^2 - 4 (i + l_i)
+    - (i^2 - 4i)."""
+    return sorted((layer_character(ls), d, ls[0], len(ls),
+                   sum(l * (l + 2 * i - 4) for i, l in enumerate(ls)))
+                  for ls in layer_lengths(d, d if cap is None else cap))
+
+
 def walk_acm_curves(max_degree, nondegenerate=True):
     """Oracle for ``enumerate_acm_curves``: the recursive walk by component
-    degree, each component's invariants computed from its IntFun, and each
-    pair's witnesses sorted by (len(w), [p.values for p in w]) at the end."""
+    degree, its components built from ``layer_lengths`` and their
+    invariants computed from their IntFun, and each pair's witnesses sorted
+    by (len(w), [p.values for p in w]) at the end."""
     if max_degree < (4 if nondegenerate else 1):
         raise ValueError("degree bound below the minimal curve degree")
     min_parts = 2 if nondegenerate else 1
@@ -411,8 +447,11 @@ def walk_acm_curves(max_degree, nondegenerate=True):
     @cache
     def components(d_i):
         """(gamma, sup, s0, delta) per positive character of degree d_i."""
+        chars = sorted((IntFun(0, layer_character(ls))
+                        for ls in layer_lengths(d_i, d_i)),
+                       key=lambda g: (len(g.values), g.values))
         return tuple((g, g.sup(), char_s0(g), surface_invariants(g).delta)
-                     for g in enumerate_positive_characters(d_i))
+                     for g in chars)
 
     grouped = {}
 

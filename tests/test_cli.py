@@ -526,10 +526,16 @@ class TestGoldenOutput:
          "f959e8bfaaa71aef3c2707aff08f00fd27307356d40eb91f962165f2229aa388"),
         (["--max-degree", "24", "--degenerate"],
          "247bb4ff324435d4615ab2b4265d917747e56e600b5a46d393377ad1f76d18c6"),
-    ], ids=["d24", "d32", "d24-degenerate"])
+        (["--max-degree", "24", "--verbose"],
+         "3b912344990958adb8cf933362457d9df29764a44118060c03ded2558ac6cf56"),
+        (["--max-degree", "24", "--verbose", "--degenerate"],
+         "a616ad535ba9cc0b3fb79f542b00d551bd5074d57b7c9db0c23f74d3a2bdd5d2"),
+    ], ids=["d24", "d32", "d24-degenerate", "d24-verbose",
+            "d24-verbose-degenerate"])
     def test_plain_enumerate_digest(self, capsys, argv, want):
         """The human (d, g) table, recorded before its component table was
-        built from layer lengths."""
+        built from layer lengths; with --verbose, every witness too,
+        recorded while the stream still carried IntFun parts."""
         code = run(["enumerate", *argv])
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert code == 0

@@ -32,16 +32,18 @@ from acmchar import (
 )
 from acmchar.cli import run
 from acmchar.enumeration import (
-    _character,
     _curve_rows,
-    _degree_components,
-    _layer_lengths,
-    _part_json,
+    _positive_records,
     _split,
     _write_json,
 )
 
-from helpers import placed_positive_characters, walk_acm_curves
+from helpers import (
+    layer_lengths,
+    layer_records,
+    placed_positive_characters,
+    walk_acm_curves,
+)
 
 
 def F(*vals):
@@ -99,8 +101,10 @@ class TestPositiveCharacters:
                     g for g in every if g.sup() <= cap], (d, cap)
 
     def test_rejects_degree_below_one(self):
-        with pytest.raises(ValueError):
-            enumerate_positive_characters(0)
+        for args in [(0,), (-3,), (0, 1, 3), (-1, 2, -5)]:
+            with pytest.raises(ValueError) as info:
+                enumerate_positive_characters(*args)
+            assert str(info.value) == "degree must be >= 1", args
 
     @pytest.mark.parametrize("args, bad", [
         ((True,), True), ((3, 1.5), 1.5), ((2, 1, 2.5), 2.5), ((5, 1, 2.5), 2.5),
@@ -113,31 +117,55 @@ class TestPositiveCharacters:
         assert str(info.value) == f"not an integer: {bad!r}"
 
     def test_partitions_match_raw_search(self):
-        """The pruned generator lists every partition of d into distinct
-        positive parts <= high, as decreasing tuples in descending order."""
+        """The oracle's pruned recursion lists every partition of d into
+        distinct positive parts <= high, as decreasing tuples in descending
+        order."""
         for d in range(15):
             for high in range(-1, d + 2):
                 every = [c[::-1] for k in range(d + 1)
                          for c in combinations(range(1, high + 1), k)
                          if sum(c) == d]
-                got = list(_layer_lengths(d, high))
+                got = list(layer_lengths(d, high))
                 assert got == sorted(every, reverse=True), (d, high)
 
     def test_layer_lengths_are_the_peeled_h_vector(self):
-        """The h-vector of the character built from lengths l peels into
-        the type-1 layers (1,) * l_i; with one layer it is that layer."""
+        """The h-vector of each generated character peels into the type-1
+        layers (1,) * l_i, l_i = n_i - i for its numerical character n
+        (the positions of its positive values, with multiplicity, in
+        descending order); with one layer it is that layer."""
         count = 0
-        for d in range(1, 25):
-            for ls in _layer_lengths(d, d):
-                h = h_from_gamma(_character(ls))
-                if len(ls) == 1:
-                    assert h == IntFun(0, (1,) * d), ls
+        for d, records in zip(range(1, 25), _positive_records()):
+            for v, _, sup, s0, _ in records:
+                n = sorted((k for k, x in enumerate(v) if x > 0
+                            for _ in range(x)), reverse=True)
+                ls = [n_i - i for i, n_i in enumerate(n)]
+                assert (len(ls), ls[0], sum(ls)) == (s0, sup, d), v
+                h = h_from_gamma(IntFun(0, v))
+                if s0 == 1:
+                    assert h == IntFun(0, (1,) * d), v
                 else:
                     assert decompose(h).parts == tuple(
-                        IntFun(0, (1,) * l) for l in ls), ls
+                        IntFun(0, (1,) * l) for l in ls), v
                 count += 1
-        assert count == 761 == sum(len(enumerate_positive_characters(d))
-                                   for d in range(1, 25))
+        assert count == 761 == sum(len(layer_records(d)) for d in range(1, 25))
+
+    def test_records_match_the_layer_oracle(self):
+        """Built from lower degrees, each degree's records equal the sorted
+        records read off the layer lengths, d <= 40 (and, capped by sup,
+        d <= 24)."""
+        for d, records in zip(range(1, 41), _positive_records()):
+            assert records == layer_records(d), d
+        for cap in range(1, 9):
+            for d, records in zip(range(1, 25), _positive_records(cap)):
+                assert records == layer_records(d, cap), (d, cap)
+
+    @pytest.mark.parametrize("d", [1000, 10**12])
+    def test_small_cap_at_a_large_degree_is_instant(self, d):
+        """Characters of sup <= 3 have degree <= 6: no lower degree is
+        built for a larger one."""
+        start = time.perf_counter()
+        assert enumerate_positive_characters(d, max_sup=3) == []
+        assert time.perf_counter() - start < 1
 
     def test_matches_unit_placements(self):
         """Every min_s0 and max_sup, against a raw placement of units."""
@@ -195,14 +223,14 @@ class TestWalk:
 
     def test_component_table_reads_invariants_off_positions(self):
         table = []
-        for d in range(1, 41):
-            components = _degree_components(d)
-            values = [c[0].values for c in components]
+        for d, records in zip(range(1, 41), _positive_records()):
+            values = [c[0] for c in records]
             assert values == sorted(values)
-            table += components
-        assert len(table) == sum(len(enumerate_positive_characters(d))
-                                 for d in range(1, 41))
-        for g, d_i, sup, s0, delta in table:
+            table += records
+        assert len(table) == sum(len(layer_records(d)) for d in range(1, 41))
+        for v, d_i, sup, s0, delta in table:
+            g = IntFun(0, v)
+            assert g.values == v
             assert (d_i, sup, s0, delta) == (
                 g.degree(), g.sup(), char_s0(g), surface_invariants(g).delta), g
 
@@ -302,47 +330,78 @@ class TestCurveTable:
         assert table.pairs() == sorted(table.pairs())
 
 
-def F_at(offset, *vals):
-    return IntFun(offset, tuple(vals))
-
-
 class TestPartEncoding:
-    PARTS = [IntFun(), F(-1, 1), F_at(-3, -2, 0, 7), F_at(5, 1), F_at(-1, -4),
-             F(10**30, -(10**40)), F_at(-(10**20), 3, -3), F_at(10**25, -1)]
-
-    def test_part_string_is_json_dumps(self):
-        for p in self.PARTS:
-            assert _part_json(p) == json.dumps(p.to_json(), sort_keys=True), p
-
     @staticmethod
-    def written(table):
-        """What the enumerate verb's stream writer makes of the two parts
-        of the table's split(), fed as (d, g, witnesses) rows."""
-        rows = lambda entries: [(e.d, e.g, [w.parts for w in e.witnesses])
-                                for e in entries]
-        listed, beyond = table.split()
+    def stream(beyond, listed):
+        """The stream writer's text for two lists of (d, g, witnesses)
+        rows of (first, tail) values tuples."""
         out = io.StringIO()
-        _write_json(out, rows(beyond), rows(listed))
+        _write_json(out, beyond, listed)
         return out.getvalue()
 
-    def test_write_json_with_offsets(self):
-        parts = self.PARTS
+    @classmethod
+    def written(cls, table):
+        """The stream writer's text for the two parts of the table's
+        split(), each witness fed as (first, tail) values tuples: every part
+        of an enumerated table is canonical, from degree 0."""
+        rows = lambda entries: [
+            (e.d, e.g, [(w.parts[0].values, tuple(p.values for p in w.parts[1:]))
+                        for w in e.witnesses]) for e in entries]
+        listed, beyond = table.split()
+        return cls.stream(rows(beyond), rows(listed))
+
+    @staticmethod
+    def dumped(table):
+        return json.dumps(table.to_json(), sort_keys=True) + "\n"
+
+    def test_part_string_is_json_dumps(self):
+        """A canonical values tuple (nonzero at both ends) is written as
+        json.dumps(IntFun(0, v).to_json(), sort_keys=True), first or in a
+        tail."""
+        for v in [(-1, 1), (-1, 0, 0, 1), (-1, -1, 2), (5,),
+                  (10**30, -(10**40)), (-(10**20), 0, 3)]:
+            f = IntFun(0, v)
+            assert (f.offset, f.values) == (0, v)
+            part = json.dumps(f.to_json(), sort_keys=True)
+            assert self.stream([], [(4, 0, [(v, ()), (v, (v, v))])]) == (
+                '{"beyond_paper": [], "pairs": [{"d": 4, "g": 0, "witnesses": '
+                f'[[{part}], [{part}, {part}, {part}]]}}]}}\n'), v
+
+    def test_write_json_with_large_values(self):
+        big, neg = F(10**30, -(10**40)), F(-(10**20), 3, -3)
         table = DGTable((
-            DGEntry(4, 0, (Codim3Decomposition((parts[2], parts[3])),
-                           Codim3Decomposition((parts[5],)))),
-            DGEntry(10, 21, (Codim3Decomposition((parts[0], parts[6], parts[2])),)),
-            DGEntry(11, -7, (Codim3Decomposition((parts[4], parts[7])),)),
+            DGEntry(4, 0, (Codim3Decomposition((big, F(-1, 1))),
+                           Codim3Decomposition((F(-1, 0, 1),)))),
+            DGEntry(10, 21, (Codim3Decomposition((neg, big, F(-1, 1))),)),
+            DGEntry(11, -7, (Codim3Decomposition((F(-1, -1, 2), neg)),)),
         ))
         listed, beyond = table.split()
         assert listed and beyond
-        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+        assert self.written(table) == self.dumped(table)
 
     def test_write_json_with_equal_distinct_parts(self):
-        a, b = F_at(2, 1, -1), F_at(2, 1, -1)
-        assert a == b and a is not b
+        a, b = F(-1, 0, 1), F(-1, 0, 1)
+        assert a.values == b.values and a.values is not b.values
         table = DGTable((DGEntry(5, 1, (Codim3Decomposition((a, b)),
                                         Codim3Decomposition((b, F(-1, 1), a)))),))
-        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+        assert self.written(table) == self.dumped(table)
+
+    def test_write_json_with_shared_tails(self):
+        """One tail object under several witnesses, and an equal tail that
+        is another object beside it: each is written as its own parts."""
+        a, b, c = (-1, 1), (-1, 0, 1), (-1, -1, 2)
+        shared = (b, a)
+        twin = tuple(list(shared))
+        assert twin == shared and twin is not shared
+        beyond = [(10, 21, [(c, twin), (a, shared)])]
+        listed = [(5, 1, [(b, shared), (c, shared), (c, (c, a))]),
+                  (6, 3, [(c, twin), (b, shared), (a, ())])]
+        doc = lambda rows: [{"d": d, "g": g, "witnesses": [
+            [IntFun(0, v).to_json() for v in (first, *tail)]
+            for first, tail in wits]} for d, g, wits in rows]
+        assert self.stream(beyond, listed) == json.dumps(
+            {"beyond_paper": doc(beyond), "pairs": doc(listed)},
+            sort_keys=True) + "\n"
 
     def test_write_json_of_empty_table(self):
         assert self.written(DGTable(())) == '{"beyond_paper": [], "pairs": []}\n'
@@ -354,7 +413,7 @@ class TestPartEncoding:
         dec = Codim3Decomposition((F(-1, -1, 2), F(-1, 1)))
         table = DGTable((DGEntry(11, 0, (dec,)), DGEntry(5, 99, (dec,))))
         assert json.loads(self.written(table))["beyond_paper"][0]["g"] == 99
-        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+        assert self.written(table) == self.dumped(table)
 
     def test_table_write_json_matches_the_stream(self):
         table = enumerate_acm_curves(13, nondegenerate=False)
@@ -367,7 +426,7 @@ class TestPartEncoding:
         entries = list(enumerate_acm_curves(13, nondegenerate=False).entries)
         random.Random(seed).shuffle(entries)
         table = DGTable(tuple(entries))
-        assert self.written(table) == json.dumps(table.to_json(), sort_keys=True) + "\n"
+        assert self.written(table) == self.dumped(table)
 
 
 class TestSplit:
