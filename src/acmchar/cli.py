@@ -147,9 +147,8 @@ def _cmd_enumerate(args):
 
     def show(d, g, witnesses):
         print(f"{d} {g} {len(witnesses)}")
-        if args.verbose:
-            for w in witnesses:
-                print("  " + _witness_text(w))
+        for w in witnesses if args.verbose else ():
+            print("  " + _witness_text(w))
 
     for row in listed:
         show(*row)

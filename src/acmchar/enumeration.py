@@ -22,20 +22,23 @@ REFERENCE_PAIRS_DEG10 = frozenset({
 REFERENCE_MAX_DEGREE = 10
 
 
-def _positive_records(cap: int | None = None):
-    """Yield, for d = 1, 2, ..., the records (values, d, sup, s0, delta), in
-    values order, of the positive characters of degree d with sup <= cap.
-    The h-vector of one peels into type-1 layers (1, ..., 1) of lengths
-    l_0 > ... > l_{s0-1}, layer i from degree i on: gamma is -1 at each i
-    and +1 at each i + l_i (its numerical character), and sup = l_0.  Less
-    its first layer, it is one of degree e = d - l_0 and sup < l_0 (or the
-    empty one, s0 = 0) moved up a degree, which adds 2e to delta."""
+def _positive_records(cap: int | None = None, reach: int = 0):
+    """Yield, for d = 1, 2, ... (up to 1 + ... + cap, the last with any),
+    the records (values, d, sup, s0, delta), in values order, of the
+    positive characters of degree d with sup <= cap (if d < reach, of those
+    that can grow to degree reach).  The h-vector of one peels into type-1
+    layers of lengths l_0 > ... > l_{s0-1}, layer i from degree i on: gamma
+    is -1 at each i and +1 at each i + l_i (its numerical character), and
+    sup = l_0.  Less its first layer, it is one of degree e = d - l_0 and
+    sup < l_0 (the empty one if e = 0) a degree up, which adds 2e to delta."""
     table = [[((), 0, -1, 0, 0)]]  # table[e]: the records of degree e
-    for d in count(1):
+    for d in count(1) if cap is None else range(1, max(cap, 0) * (cap + 1) // 2 + 1):
         rows = []
         for l0 in range(d if cap is None else min(d, cap), 0, -1):
             if l0 * (l0 + 1) // 2 < d:
                 break  # distinct parts <= l0 sum to at most l0 (l0 + 1) / 2
+            if d < reach and not l0 < reach - d <= (cap - l0) * (cap + l0 + 1) // 2:
+                continue  # no distinct parts in (l0, cap] sum to reach - d
             e = d - l0
             for v, _, sup, s0, delta in table[e]:
                 if sup < l0:
@@ -55,9 +58,7 @@ def enumerate_positive_characters(d: int, min_s0: int = 1,
     _require_ints(d, min_s0, high)
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if high * (high + 1) // 2 < d:
-        return []  # distinct parts <= high sum to at most high (high + 1) / 2
-    found = [r[0] for r in next(islice(_positive_records(high), d - 1, None))
+    found = [r[0] for r in next(islice(_positive_records(high, d), d - 1, None), ())
              if r[3] >= min_s0]
     return [IntFun(0, v) for v in sorted(found, key=lambda v: (len(v), v))]
 

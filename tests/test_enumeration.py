@@ -6,7 +6,7 @@ import io
 import json
 import random
 import time
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -39,6 +39,7 @@ from acmchar.enumeration import (
 )
 
 from helpers import (
+    layer_character,
     layer_lengths,
     layer_records,
     placed_positive_characters,
@@ -159,12 +160,48 @@ class TestPositiveCharacters:
             for d, records in zip(range(1, 25), _positive_records(cap)):
                 assert records == layer_records(d, cap), (d, cap)
 
-    @pytest.mark.parametrize("d", [1000, 10**12])
-    def test_small_cap_at_a_large_degree_is_instant(self, d):
-        """Characters of sup <= 3 have degree <= 6: no lower degree is
-        built for a larger one."""
+    def test_records_aimed_at_a_degree_match_the_layer_oracle(self):
+        """Aimed at degree d, the records built for d are all of them, and
+        each lower degree e keeps every record that some of them has as
+        its last layers, and none whose next layer, longer than its sup,
+        would overshoot d."""
+        for d in range(1, 25):
+            for cap in range(1, d + 1):
+                *lower, records = islice(_positive_records(cap, d), d)
+                assert records == layer_records(d, cap), (d, cap)
+                grown = {ls[i:] for ls in layer_lengths(d, cap)
+                         for i in range(1, len(ls))}
+                for e, rows in enumerate(lower, 1):
+                    assert {r[0] for r in rows} >= {
+                        layer_character(ls) for ls in grown if sum(ls) == e}
+                    assert all(r[2] < d - e for r in rows), (d, cap, e)
+
+    @pytest.mark.parametrize("cap", [3, 8, 24])
+    def test_aimed_at_a_staircase_only_staircases_are_kept(self, cap):
+        """Aimed at d = cap (cap + 1) / 2, whose one character of sup <= cap
+        is the staircase cap, ..., 1, each lower degree keeps at most the
+        staircase s, ..., 1 of its own degree."""
+        top = cap * (cap + 1) // 2
+        for d, rows in zip(range(1, top + 1), _positive_records(cap, top)):
+            assert [r[0] for r in rows] == [
+                layer_character(range(s, 0, -1)) for s in range(1, cap + 1)
+                if s * (s + 1) // 2 == d], d
+
+    @pytest.mark.parametrize("cap", [20, 24])
+    def test_cap_at_its_bound_is_instant(self, cap):
+        """At d = cap (cap + 1) / 2 the staircase cap, ..., 1 is the one
+        character: the lower degrees keep only what can reach d."""
         start = time.perf_counter()
-        assert enumerate_positive_characters(d, max_sup=3) == []
+        assert enumerate_positive_characters(cap * (cap + 1) // 2, max_sup=cap) == [
+            IntFun(0, layer_character(range(cap, 0, -1)))]
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("d, cap", [(1000, 3), (10**12, 3), (10**11, -10**6)])
+    def test_small_cap_at_a_large_degree_is_instant(self, d, cap):
+        """Characters of sup <= cap have degree <= cap (cap + 1) / 2 (none
+        at all for cap < 1): no degree past that is built."""
+        start = time.perf_counter()
+        assert enumerate_positive_characters(d, max_sup=cap) == []
         assert time.perf_counter() - start < 1
 
     def test_matches_unit_placements(self):
